@@ -27,18 +27,22 @@ SUITES = ("beta-law", "derrw", "reversal", "loop-reversal", "harmonic", "tournie
 
 def run_suite(name: str, p: DirichletParams | None, *, seed: int, replicas: int | None = None,
               window: int | None = None, steps: int | None = None) -> tuple:
+    for flag, value in (("replicas", replicas), ("window", window), ("steps", steps)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     if name == "beta-law":
-        return beta_law(p, replicas=replicas or 2000, window=window or 512, seed=seed)
+        return beta_law(p, replicas=2000 if replicas is None else replicas,
+                        window=512 if window is None else window, seed=seed)
     if name == "derrw":
-        return derrw_equivalence(runs=steps or 1_000_000, seed=seed)
+        return derrw_equivalence(runs=1_000_000 if steps is None else steps, seed=seed)
     if name == "reversal":
-        return time_reversal(p, draws=replicas or 10_000, seed=seed)
+        return time_reversal(p, draws=10_000 if replicas is None else replicas, seed=seed)
     if name == "loop-reversal":
-        return loop_reversal(p, runs=steps or 1_000_000, seed=seed)
+        return loop_reversal(p, runs=1_000_000 if steps is None else steps, seed=seed)
     if name == "harmonic":
-        return harmonic_monotonicity(instances=replicas or 1000, seed=seed)
+        return harmonic_monotonicity(instances=1000 if replicas is None else replicas, seed=seed)
     if name == "tournier":
-        return tournier_exponent(n_envs=replicas or 100_000, seed=seed)
+        return tournier_exponent(n_envs=100_000 if replicas is None else replicas, seed=seed)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,8 @@ class MeanHittingEstimate:
 def simulate_line(p: DirichletParams, steps: int, rng: RngStream) -> np.ndarray:
     """Positions of one quenched walk from 0 on the full integer line, in a
     freshly sampled environment keyed by the stream."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     return _LineWalker(p).positions(rng, steps)
 
 
@@ -321,6 +324,9 @@ def estimate_velocity(p: DirichletParams, steps: int, replicas: int,
     """
     if method not in ("endpoint", "regeneration"):
         raise ValueError(f"unknown method {method!r}")
+    if steps < 1 or replicas < 1:
+        raise ValueError(f"need steps >= 1 and replicas >= 1, "
+                         f"got steps={steps}, replicas={replicas}")
     dp = derive_params(p)
     if dp.kappa1_is_zero:
         warnings.warn("kappa1 = 0 (recurrent): velocity estimate will be ~0")
@@ -352,6 +358,8 @@ def estimate_mean_hitting(p: DirichletParams, horizon: int, replicas: int,
     [1, inf), reporting the fraction of replicas censored by the horizon
     instead of imputing them (a growing censored fraction is the signature of
     an infinite expectation)."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     dp = derive_params(p)
     if dp.kappa1 <= 0:
         warnings.warn("mean hitting time of [1, inf) is intended for kappa1 > 0")
@@ -403,99 +411,100 @@ class _LineWalker:
         return rows[:, 0].tolist()
 
     def _gen_block(self, stream: RngStream, b: int) -> list:
+        """Per site, the first k-1 cumulative row sums as Python floats: the
+        thresholds between the k offsets (the last sum is never read)."""
         gen = stream.substream(_NS_ENV, b).generator()
         rows = _gamma_rows(gen, self.weights, _BLOCK)
-        cum = np.cumsum(rows, axis=1)
-        return [tuple(row) for row in cum]
+        flat = iter(np.cumsum(rows[:, :-1], axis=1).ravel().tolist())
+        return list(zip(*[flat] * (rows.shape[1] - 1)))  # regroup by site
+
+    def _block_at(self, stream: RngStream, blocks: dict, x: int) -> tuple:
+        """The block holding site x, sampled on first use, and its first site."""
+        b = x >> 10
+        blk = blocks.get(b)
+        if blk is None:
+            sample = self._nn_block if self.nn else self._gen_block
+            blk = blocks[b] = sample(stream, b)
+        return blk, b << 10
 
     # -- kernels ---------------------------------------------------------------
+    #
+    # Each loop keeps the current block `blk` and its first site `lo`, and
+    # looks a block up only when x leaves [lo, lo + 1024), i.e. when
+    # (x - lo) >> 10 is nonzero.  lo starts at 1024 so that the first step
+    # samples block 0.  The general kernel bisects the site's threshold
+    # table, which picks the same offset as a linear scan, ties included.
 
     def final_position(self, stream: RngStream, steps: int) -> int:
         rnd = stream.substream(_NS_WALK).python_random().random
+        blocks = {}
+        blk, lo = None, _BLOCK
         x = 0
         if self.nn:
-            blocks = {}
             for _ in range(steps):
-                b = x >> 10
-                blk = blocks.get(b)
-                if blk is None:
-                    blk = blocks[b] = self._nn_block(stream, b)
-                x += 1 if rnd() < blk[x & 1023] else -1
+                i = x - lo
+                if i >> 10:
+                    blk, lo = self._block_at(stream, blocks, x)
+                    i = x - lo
+                x += 1 if rnd() < blk[i] else -1
             return x
         offs = self.support
-        k = len(offs)
-        blocks = {}
         for _ in range(steps):
-            b = x >> 10
-            blk = blocks.get(b)
-            if blk is None:
-                blk = blocks[b] = self._gen_block(stream, b)
-            cum = blk[x & 1023]
-            r = rnd()
-            j = 0
-            while j < k - 1 and r >= cum[j]:
-                j += 1
-            x += offs[j]
+            i = x - lo
+            if i >> 10:
+                blk, lo = self._block_at(stream, blocks, x)
+                i = x - lo
+            x += offs[bisect_right(blk[i], rnd())]
         return x
 
     def positions(self, stream: RngStream, steps: int) -> np.ndarray:
         rnd = stream.substream(_NS_WALK).python_random().random
+        blocks = {}
+        blk, lo = None, _BLOCK
         x = 0
         out = [0]
         append = out.append
-        blocks = {}
         if self.nn:
             for _ in range(steps):
-                b = x >> 10
-                blk = blocks.get(b)
-                if blk is None:
-                    blk = blocks[b] = self._nn_block(stream, b)
-                x += 1 if rnd() < blk[x & 1023] else -1
+                i = x - lo
+                if i >> 10:
+                    blk, lo = self._block_at(stream, blocks, x)
+                    i = x - lo
+                x += 1 if rnd() < blk[i] else -1
                 append(x)
         else:
             offs = self.support
-            k = len(offs)
             for _ in range(steps):
-                b = x >> 10
-                blk = blocks.get(b)
-                if blk is None:
-                    blk = blocks[b] = self._gen_block(stream, b)
-                cum = blk[x & 1023]
-                r = rnd()
-                j = 0
-                while j < k - 1 and r >= cum[j]:
-                    j += 1
-                x += offs[j]
+                i = x - lo
+                if i >> 10:
+                    blk, lo = self._block_at(stream, blocks, x)
+                    i = x - lo
+                x += offs[bisect_right(blk[i], rnd())]
                 append(x)
-        return np.array(out)
+        return np.fromiter(out, np.int64, len(out))  # np.array(out) would scan for a dtype
 
     def first_time_at_or_above(self, stream: RngStream, level: int, horizon: int):
         rnd = stream.substream(_NS_WALK).python_random().random
-        x = 0
         blocks = {}
+        blk, lo = None, _BLOCK
+        x = 0
         if self.nn:
             for n in range(1, horizon + 1):
-                b = x >> 10
-                blk = blocks.get(b)
-                if blk is None:
-                    blk = blocks[b] = self._nn_block(stream, b)
-                x += 1 if rnd() < blk[x & 1023] else -1
+                i = x - lo
+                if i >> 10:
+                    blk, lo = self._block_at(stream, blocks, x)
+                    i = x - lo
+                x += 1 if rnd() < blk[i] else -1
                 if x >= level:
                     return n
             return None
         offs = self.support
-        k = len(offs)
         for n in range(1, horizon + 1):
-            b = x >> 10
-            blk = blocks.get(b)
-            if blk is None:
-                blk = blocks[b] = self._gen_block(stream, b)
-            cum = blk[x & 1023]
-            r = rnd()
-            j = 0
-            while j < k - 1 and r >= cum[j]:
-                j += 1
-            x += offs[j]
+            i = x - lo
+            if i >> 10:
+                blk, lo = self._block_at(stream, blocks, x)
+                i = x - lo
+            x += offs[bisect_right(blk[i], rnd())]
             if x >= level:
                 return n
         return None

@@ -160,3 +160,36 @@ def test_console_script_entry_point(tmp_path):
     rep = json.loads(proc.stdout)
     jsonschema.validate(rep, SCHEMA)
     assert rep["kappa0"]["value"] == 3.0
+
+
+def _run_error(capsys, *argv):
+    """Run a command that must fail validation: exit 1, one JSON error object
+    on stdout, nothing on stderr."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    rep = _validated(lines[0])
+    assert set(rep) == {"error"}
+    assert rep["error"]["code"] == "ValueError"
+    return rep
+
+
+def test_speed_rejects_nonpositive_sizes(capsys):
+    _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--steps", "0")
+    _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--replicas", "0")
+    _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--steps", "-5", "--method", "regeneration")
+
+
+def test_simulate_rejects_negative_steps(capsys):
+    _run_error(capsys, "simulate", "--alphas=-1:1,1:2", "--steps", "-1")
+
+
+def test_verify_rejects_nonpositive_sizes(capsys):
+    # rejected up front, not run at the default size
+    _run_error(capsys, "verify", "loop-reversal", "--steps", "0")
+    _run_error(capsys, "verify", "beta-law", "--replicas", "0")
+    _run_error(capsys, "verify", "beta-law", "--window", "-3")
+    _run_error(capsys, "verify", "derrw", "--steps", "0")

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwde.environment import Environment, RngStream, sample_environment
 from rwde.errors import DeadEnd, NotAPath, StartOutsideWindow
@@ -16,6 +19,7 @@ from rwde.walk import (
     estimate_velocity,
     regeneration_times,
     simulate_derrw,
+    simulate_line,
     simulate_quenched,
     trajectory_stats,
 )
@@ -199,6 +203,19 @@ def test_regeneration_increments_uncorrelated():
     assert abs(lag) <= 3.0 / math.sqrt(incs.size - 1)
 
 
+def test_line_estimates_reject_empty_samples():
+    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
+    with pytest.raises(ValueError):
+        estimate_velocity(p, steps=0, replicas=3)
+    with pytest.raises(ValueError):
+        estimate_velocity(p, steps=100, replicas=0, method="regeneration")
+    with pytest.raises(ValueError):
+        estimate_mean_hitting(p, horizon=100, replicas=0, seed=1)
+    with pytest.raises(ValueError):
+        simulate_line(p, -1, RngStream(1))
+    assert simulate_line(p, 0, RngStream(1)).tolist() == [0]
+
+
 def test_mean_hitting_nearly_deterministic_family():
     # all weight on the right jump: the first step almost surely lands in [1, inf)
     p = validate_params(1, 1, {-1: 1e-6, 1: 1e6})
@@ -247,3 +264,100 @@ def test_walk_increments_respect_jump_bounds():
     xs = _LineWalker(p).positions(RngStream(22), 5000)
     steps = np.diff(xs)
     assert set(np.unique(steps)).issubset({-16, 2, 5})
+
+
+# Seeded line-walker outputs, pinned byte for byte.  A deliberate change of a
+# walk or environment stream must update these values in the open and say so
+# in CHANGES.md.
+_GOLDEN_PARAMS = {
+    "nn": ((1, 1, {-1: 1.0, 1: 4.0}), 5000),
+    "general": ((1, 4, {-1: 1.0, 1: 1.0, 4: 0.5}), 3000),
+    "b7": ((16, 5, {-16: 1 / 67, 2: 15 / 67, 5: 5 / 67}), 3000),
+}
+_GOLDEN = {
+    "nn": (
+        [(2602, "3eef8f63f216ce22"), (2618, "f455ba5776f62185"), (2402, "702d1213f0fac038")],
+        {"endpoint": 0.49573333333333336, "regeneration": 0.4955424465216773},
+        {-3: [1, 1, 1, 1], 0: [1, 1, 1, 2], 1: [1, 1, 1, 3], 4: [26, 4, 4, 8],
+         40: [100, 56, 80, 64], 300: [None, None, None, None]},
+    ),
+    "general": (
+        [(1373, "87888bb372d84fd3"), (1421, "1ca323b4e5602c54"), (1767, "5329830724c844a8")],
+        {"endpoint": 0.4945555555555556, "regeneration": 0.494847503862934},
+        {-3: [1, 1, 1, 1], 0: [1, 2, 1, 1], 1: [1, 9, 1, 1], 4: [4, 10, 4, 1],
+         40: [63, 28, 108, 246], 300: [None, None, None, None]},
+    ),
+    "b7": (
+        [(1194, "331b72999e482b93"), (741, "108b3c1eace15d9e"), (117, "f4a91b8ddeb2c5b2")],
+        {"endpoint": 0.5266666666666667, "regeneration": 0.992086252179243},
+        {-3: [1, 1, 1, 1], 0: [1, 1, 1, 1], 1: [1, 1, 1, 1], 4: [2, 1, 2, 2],
+         40: [16, 11, 22, 38], 300: [210, 206, 131, 171]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_line_walker_golden_streams(name):
+    from rwde.walk import _LineWalker
+
+    (L, R, alphas), steps = _GOLDEN_PARAMS[name]
+    lines, v_hat, first_times = _GOLDEN[name]
+    p = validate_params(L, R, alphas)
+    for rep, (end, digest) in enumerate(lines):
+        xs = simulate_line(p, steps, RngStream(11, (rep,)))
+        assert xs.dtype == np.int64 and int(xs[-1]) == end
+        assert hashlib.sha256(np.asarray(xs, dtype="<i8").tobytes()).hexdigest()[:16] == digest
+    for method, value in v_hat.items():
+        assert estimate_velocity(p, steps, 3, method, seed=12).v_hat == value
+    walker = _LineWalker(p)
+    for level, expected in first_times.items():
+        got = [walker.first_time_at_or_above(RngStream(13, (rep,)), level, 400) for rep in range(4)]
+        assert got == expected
+
+
+def _linear_scan_offset(cum_row, offs, r):
+    """Offset choice by scanning a full cumulative row (the reference)."""
+    j = 0
+    while j < len(offs) - 1 and r >= cum_row[j]:
+        j += 1
+    return offs[j]
+
+
+_SUPPORTS = st.sets(st.integers(-6, 6), min_size=2, max_size=6).filter(
+    lambda s: min(s) < 0 < max(s) and math.gcd(*(abs(i) for i in s if i)) == 1
+)
+_WEIGHTS = st.one_of(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2]), st.floats(0.01, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(support=_SUPPORTS, data=st.data(), seed=st.integers(0, 2**32 - 1),
+       block=st.integers(-3, 3))
+def test_threshold_table_bisect_matches_linear_scan(support, data, seed, block):
+    from bisect import bisect_right
+
+    from rwde.environment import _gamma_rows
+    from rwde.walk import _BLOCK, _NS_ENV, _LineWalker
+
+    offs = tuple(sorted(support))
+    alphas = {i: data.draw(_WEIGHTS) for i in offs}
+    p = validate_params(-offs[0], offs[-1], alphas)
+    walker = _LineWalker(p)
+    stream = RngStream(seed, (0,))
+    table = walker._gen_block(stream, block)
+    rows = _gamma_rows(stream.substream(_NS_ENV, block).generator(), walker.weights, _BLOCK)
+    cum = np.cumsum(rows, axis=1)
+    # bit for bit: the table is the full cumsum without its last column
+    assert len(table) == _BLOCK
+    assert np.array(table, dtype=float).tobytes() == np.ascontiguousarray(cum[:, :-1]).tobytes()
+
+    sites = data.draw(st.lists(st.integers(0, _BLOCK - 1), min_size=1, max_size=20))
+    for site in sites:
+        row = cum[site]
+        thresholds = row[:-1].tolist()
+        uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5))
+        # exact thresholds and their neighbours are where ties would show
+        uniforms += thresholds
+        uniforms += [math.nextafter(t, 0.0) for t in thresholds]
+        uniforms += [math.nextafter(t, 1.0) for t in thresholds]
+        for r in uniforms:
+            assert offs[bisect_right(table[site], r)] == _linear_scan_offset(tuple(row), offs, r)
