@@ -108,50 +108,66 @@ class Environment:
     """Transition rows on a finite graph: row(x) is a probability vector over
     the out-neighbors of x."""
 
-    __slots__ = ("graph", "_rows")
+    __slots__ = ("graph", "_rows", "_probs")
 
     ROW_SUM_TOL = 1e-12
 
-    def __init__(self, graph: WeightedDigraph, rows: dict, _validated: bool = False):
-        if _validated:
-            # rows built by the batch sampler: support, sums and positivity
+    def __init__(self, graph: WeightedDigraph, rows: dict | None = None, _probs=None):
+        self.graph = graph
+        if _probs is not None:
+            # flat rows from the batch sampler: support, sums and positivity
             # are guaranteed by construction
-            self.graph = graph
-            self._rows = rows
+            self._rows = None
+            self._probs = _probs
             return
         checked = {}
-        for x in graph.vertices:
+        flat = []
+        for x, sorted_heads in graph._layout().heads.items():
             heads, probs = rows[x]
-            if tuple(sorted(graph.out_edges(x))) != tuple(sorted(heads)):
+            heads = tuple(heads)
+            if sorted_heads != tuple(sorted(heads)):
                 raise ValueError(f"row support at {x} does not match out-edges")
             probs = np.asarray(probs, dtype=float)
             if abs(probs.sum() - 1.0) > self.ROW_SUM_TOL:
                 raise ValueError(f"row at {x} sums to {probs.sum()!r}")
-            if np.any(probs <= 0.0) or np.any(probs > 1.0):
+            if (probs <= 0.0).any() or (probs > 1.0).any():
                 raise ValueError(f"row at {x} has entries outside (0, 1]")
-            checked[x] = (tuple(heads), probs)
-        self.graph = graph
+            checked[x] = (heads, probs)
+            if heads != sorted_heads:
+                probs = probs[sorted(range(len(heads)), key=heads.__getitem__)]
+            flat.append(probs)
         self._rows = checked
+        self._probs = np.concatenate(flat or [np.empty(0)])
 
     @property
     def vertices(self) -> tuple:
         return self.graph.vertices
 
+    @property
+    def probs(self) -> np.ndarray:
+        """All transition probabilities, row by row in the order of
+        ``graph.edges()``."""
+        return self._probs
+
     def row(self, x):
+        if self._rows is None:
+            lay = self.graph._layout()
+            ptr = lay.indptr.tolist()
+            self._rows = {
+                v: (heads, self._probs[ptr[i]:ptr[i + 1]])
+                for i, (v, heads) in enumerate(lay.heads.items())
+            }
         return self._rows[x]
 
     def prob(self, x, y) -> float:
-        heads, probs = self._rows[x]
-        for h, q in zip(heads, probs):
-            if h == y:
-                return float(q)
-        return 0.0
+        k = self.graph._layout().pos.get((x, y))
+        return 0.0 if k is None else float(self._probs[k])
 
     def dump(self) -> str:
         """Golden-test format: ``x head prob`` lines, sorted."""
         lines = []
         for x in self.vertices:
-            heads, probs = self._rows[x]
+            heads, probs = self.row(x)
             for h, q in sorted(zip(heads, probs)):
                 lines.append(f"{x} {h} {q!r}")
         return "\n".join(lines)
@@ -170,22 +186,17 @@ def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
     output is a pure function of (stream, n).
     """
     gen = _as_generator(rng)
-    per_vertex = {}
-    for x in g.vertices:
-        out = g.out_edges(x)
-        if not out:
+    lay = g._layout()
+    blocks = []
+    for i, (x, heads) in enumerate(lay.heads.items()):
+        if not heads:
             raise IsolatedVertex(f"vertex {x!r} has no outgoing edges")
-        heads = tuple(sorted(out))
-        weights = np.array([out[h] for h in heads])
         if heads == (x,):
-            per_vertex[x] = (heads, np.ones((n, 1)))
+            blocks.append(np.ones((n, 1)))
         else:
-            per_vertex[x] = (heads, _gamma_rows(gen, weights, n))
-    envs = []
-    for k in range(n):
-        rows = {x: (heads, mat[k]) for x, (heads, mat) in per_vertex.items()}
-        envs.append(Environment(g, rows, _validated=True))
-    return envs
+            blocks.append(_gamma_rows(gen, lay.weights[lay.indptr[i]:lay.indptr[i + 1]], n))
+    flat = np.concatenate(blocks, axis=1) if blocks else np.empty((n, 0))
+    return [Environment(g, _probs=row) for row in flat]
 
 
 def amalgamate(v, partition) -> np.ndarray:

@@ -17,7 +17,7 @@ class WeightedDigraph:
     construction.
     """
 
-    __slots__ = ("_vertices", "_out", "_in", "_frozen")
+    __slots__ = ("_vertices", "_out", "_in", "_frozen", "_rev")
 
     def __init__(self, edges, vertices=()):
         out = {}
@@ -35,6 +35,8 @@ class WeightedDigraph:
         self._vertices = tuple(sorted(verts))
         self._out = out
         self._in = inc
+        self._frozen = None
+        self._rev = None
 
     @property
     def vertices(self) -> tuple:
@@ -67,13 +69,90 @@ class WeightedDigraph:
                 yield t, h, w
 
     def reversed(self) -> "WeightedDigraph":
-        return WeightedDigraph(
-            ((h, t, w) for t, h, w in self.edges()), vertices=self._vertices
-        )
+        """The edge-reversed graph, built on the first call and then shared."""
+        if self._rev is None:
+            self._rev = WeightedDigraph(
+                ((h, t, w) for t, h, w in self.edges()), vertices=self._vertices
+            )
+        return self._rev
+
+    def _layout(self) -> "_RowLayout":
+        if self._frozen is None:
+            self._frozen = _RowLayout(self)
+        return self._frozen
 
     def dump(self) -> str:
         """Debug format: one ``tail head weight`` line per edge, sorted."""
         return "\n".join(f"{t} {h} {w!r}" for t, h, w in self.edges())
+
+
+class _RowLayout:
+    """The rows of a graph in one flat order: vertices sorted, and within a
+    vertex its heads sorted, which is the order of ``edges()``.
+
+    ``index`` maps a vertex to its position in ``vertices``, ``heads`` a
+    vertex to its sorted heads, and ``pos`` an edge (tail, head) to its flat
+    position.  Row i occupies ``indptr[i]:indptr[i+1]`` of the arrays
+    ``tails`` and ``cols`` (vertex positions of tail and head) and
+    ``weights``.  ``by_head`` lists the flat positions sorted by head, then
+    tail (the order of the reversed graph's edges); the edges into vertex i
+    are ``by_head[head_ptr[i]:head_ptr[i+1]]``.
+    """
+
+    __slots__ = ("index", "heads", "pos", "indptr", "tails", "cols", "weights",
+                 "by_head", "head_ptr", "_strong")
+
+    def __init__(self, g: WeightedDigraph):
+        import numpy as np
+
+        self.index = {v: i for i, v in enumerate(g.vertices)}
+        self.heads = {}
+        self.pos = {}
+        tails, cols, weights = [], [], []
+        for i, t in enumerate(g.vertices):
+            row = g.out_edges(t)
+            self.heads[t] = heads = tuple(sorted(row))
+            for h in heads:
+                self.pos[t, h] = len(cols)
+                tails.append(i)
+                cols.append(self.index[h])
+                weights.append(row[h])
+        bounds = np.arange(len(g.vertices) + 1)
+        self.tails = np.array(tails, dtype=np.intp)
+        self.indptr = np.searchsorted(self.tails, bounds)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.weights = np.array(weights, dtype=float)
+        self.by_head = np.argsort(self.cols, kind="stable")
+        self.head_ptr = np.searchsorted(self.cols[self.by_head], bounds)
+        self._strong = None
+
+    def reach(self, sources, within=None, backward=False) -> list:
+        """Flags over vertex positions: reachable from the positions in
+        sources (with backward, reaching them), stepping only onto positions
+        flagged in within (default all)."""
+        if backward:
+            ptr, nbrs = self.head_ptr.tolist(), self.tails[self.by_head].tolist()
+        else:
+            ptr, nbrs = self.indptr.tolist(), self.cols.tolist()
+        seen = [False] * (len(ptr) - 1)
+        for z in sources:
+            seen[z] = True
+        stack = list(sources)
+        while stack:
+            z = stack.pop()
+            for w in nbrs[ptr[z]:ptr[z + 1]]:
+                if not seen[w] and (within is None or within[w]):
+                    seen[w] = True
+                    stack.append(w)
+        return seen
+
+    def strongly_connected(self) -> bool:
+        """Every vertex reaches every other (computed on the first call)."""
+        if self._strong is None:
+            self._strong = len(self.index) < 2 or (
+                all(self.reach([0])) and all(self.reach([0], backward=True))
+            )
+        return self._strong
 
 
 @dataclass(frozen=True)
@@ -206,20 +285,7 @@ def strongly_connected(g: WeightedDigraph, S) -> bool:
     if len(S) == 1:
         (x,) = S
         return g.edge_weight(x, x) > 0.0
-    anchor = next(iter(S))
-    return (
-        _closure_within(g.out_edges, anchor, S) == S
-        and _closure_within(g.in_edges, anchor, S) == S
-    )
-
-
-def _closure_within(neigh, start, S):
-    seen = {start}
-    stack = [start]
-    while stack:
-        z = stack.pop()
-        for w in neigh(z):
-            if w in S and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    within = [v in S for v in g.vertices]
+    lay = g._layout()
+    anchor = [lay.index[next(iter(S))]]
+    return lay.reach(anchor, within) == within == lay.reach(anchor, within, backward=True)

@@ -57,48 +57,44 @@ class EscapeBracket:
 
 def hitting_probability(problem: HittingProblem) -> dict:
     """z -> P^z(hit target before taboo), the bounded harmonic solution with
-    boundary values 1 on the target and 0 on the taboo."""
+    boundary values 1 on the target and 0 on the taboo.  Values are clamped
+    to [0, 1] once the solve has passed its residual check."""
     env = problem.env
-    verts = env.vertices
-    A = problem.target
-    B = problem.taboo
-    boundary = A | B
-    unknown = [v for v in verts if v not in boundary]
-    out = {}
-    for v in A:
-        out[v] = 1.0
-    for v in B:
-        out[v] = 0.0
-    if not unknown:
+    out = dict.fromkeys(problem.target, 1.0)
+    out.update(dict.fromkeys(problem.taboo, 0.0))
+    g = env.graph
+    lay = g._layout()
+    # 0: unknown, 1: target, 2: taboo
+    kind = np.zeros(len(g.vertices), dtype=np.int8)
+    for k, part in ((1, problem.target), (2, problem.taboo)):
+        kind[[lay.index[v] for v in part if v in lay.index]] = k
+    unknown = np.flatnonzero(kind == 0)
+    if not unknown.size:
         return out
 
-    _check_coreachable(env, boundary, unknown)
-    idx = {v: i for i, v in enumerate(unknown)}
-    n = len(unknown)
-    b = np.zeros(n)
-    rows_cols = []
-    rows_vals = []
-    for i, v in enumerate(unknown):
-        heads, probs = env.row(v)
-        cols = [i]
-        vals = [1.0]
-        for h, q in zip(heads, probs):
-            if h in A:
-                b[i] += q
-            elif h in B:
-                pass
-            elif h == v:
-                vals[0] -= q
-            else:
-                cols.append(idx[h])
-                vals.append(-q)
-        rows_cols.append(cols)
-        rows_vals.append(vals)
-
-    x = _solve_structured(unknown, rows_cols, rows_vals, b)
-    for i, v in enumerate(unknown):
-        val = float(x[i])
-        out[v] = min(1.0, max(0.0, val)) if -1e-9 <= val <= 1.0 + 1e-9 else val
+    n = unknown.size
+    if n == len(g.vertices) or not lay.strongly_connected():
+        seen = lay.reach(np.flatnonzero(kind).tolist(), backward=True)
+        missing = [g.vertices[i] for i in unknown.tolist() if not seen[i]]
+        if missing:
+            raise UnreachableBoundary(f"no path to target/taboo from {missing[:5]!r}")
+    where = np.full(len(g.vertices), -1)
+    where[unknown] = np.arange(n)
+    probs = env.probs
+    live = kind[lay.tails] == 0
+    head_kind = kind[lay.cols]
+    to_target = live & (head_kind == 1)
+    inner = live & (head_kind == 0)
+    loop = inner & (lay.tails == lay.cols)
+    off = inner & ~loop
+    # b accumulates each row's target probabilities left to right
+    b = np.bincount(where[lay.tails[to_target]], weights=probs[to_target], minlength=n)
+    diag = np.ones(n)
+    diag[where[lay.tails[loop]]] = 1.0 - probs[loop]
+    verts = list(map(g.vertices.__getitem__, unknown.tolist()))
+    x = _solve_structured(verts, diag, where[lay.tails[off]], where[lay.cols[off]], -probs[off], b)
+    # adding 0.0 turns a clamped -0.0 into 0.0
+    out.update(zip(verts, (np.clip(x, 0.0, 1.0) + 0.0).tolist()))
     return out
 
 
@@ -111,34 +107,21 @@ def expected_visits(env: Environment, x, S) -> float:
     S = sorted(set(S))
     if x not in S:
         raise ValueError(f"start {x!r} not in S")
-    members = set(S)
-    reach = {x}
-    stack = [x]
-    exit_found = False
-    while stack:
-        z = stack.pop()
-        heads, probs = env.row(z)
-        for h in heads:
-            if h not in members:
-                exit_found = True
-            elif h not in reach:
-                reach.add(h)
-                stack.append(h)
-    if not exit_found:
+    lay = env.graph._layout()
+    inside = np.zeros(len(env.vertices), dtype=bool)
+    inside[[lay.index[v] for v in S]] = True
+    reached = np.array(lay.reach([lay.index[x]], inside.tolist()))
+    if not (reached[lay.tails] & ~inside[lay.cols]).any():
         raise NoExit(f"the walk cannot leave {S!r} from {x!r}")
 
-    idx = {v: i for i, v in enumerate(S)}
-    n = len(S)
-    M = np.eye(n)
-    for v in S:
-        heads, probs = env.row(v)
-        for h, q in zip(heads, probs):
-            if h in idx:
-                M[idx[v], idx[h]] -= q
-    e = np.zeros(n)
-    e[idx[x]] = 1.0
+    where = np.cumsum(inside) - 1  # position within S
+    keep = inside[lay.tails] & inside[lay.cols]
+    M = np.eye(len(S))
+    M[where[lay.tails[keep]], where[lay.cols[keep]]] -= env.probs[keep]
+    e = np.zeros(len(S))
+    e[where[lay.index[x]]] = 1.0
     y = _dense_solve(M, e)
-    return float(y[idx[x]])
+    return float(y[where[lay.index[x]]])
 
 
 def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBracket:
@@ -162,7 +145,8 @@ def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBr
     h_lo = hitting_probability(
         HittingProblem(env, target=frozenset([W]), taboo=frozenset([0]) | (band - {W}))
     )
-    heads, probs = env.row(0)
+    lay = env.graph._layout()
+    heads, probs = lay.heads[0], env.probs[:lay.indptr[1]]  # vertex 0 is row 0
     upper = sum(q * h_up[h] for h, q in zip(heads, probs))
     lower = sum(q * h_lo[h] for h, q in zip(heads, probs))
     return EscapeBracket(lower=float(lower), upper=float(upper), window=W)
@@ -171,40 +155,26 @@ def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBr
 def invariant_measure(env: Environment) -> dict:
     """Stationary probability pi of the row-stochastic environment on a
     strongly connected finite graph: pi P = pi, sum(pi) = 1."""
-    verts = env.vertices
-    if not _support_strongly_connected(env):
-        raise NotStronglyConnected("support graph is not strongly connected")
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    P = np.zeros((n, n))
-    for v in verts:
-        heads, probs = env.row(v)
-        for h, q in zip(heads, probs):
-            P[idx[v], idx[h]] = q
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = _dense_solve(A, b)
-    pi = pi / pi.sum()
-    residual = np.max(np.abs(pi @ P - pi))
-    if residual > RESIDUAL_TOL:
-        raise SingularSystem(f"stationarity residual {residual:.3e}")
-    return {v: float(pi[idx[v]]) for v in verts}
+    return dict(zip(env.vertices, _stationary(env).tolist()))
 
 
 def time_reverse(env: Environment) -> Environment:
     """Reversed-chain environment: new row prob x -> y is
     pi(y) * prob(y, x) / pi(x); cycles keep their probability with the
     orientation flipped."""
-    pi = invariant_measure(env)
+    pi = _stationary(env)
+    lay = env.graph._layout()
     rgraph = env.graph.reversed()
+    rlay = rgraph._layout()
+    # reversed edge (x, y) is forward edge (y, x); by_head lists those in
+    # the reversed graph's order
+    x, y = rlay.tails, rlay.cols
+    probs = pi[y] * env.probs[lay.by_head] / pi[x]
+    ptr = rlay.indptr.tolist()
     rows = {}
-    for x in rgraph.vertices:
-        heads = tuple(sorted(rgraph.out_edges(x)))
-        probs = np.array([pi[y] * env.prob(y, x) / pi[x] for y in heads])
-        probs = probs / probs.sum()  # remove the solver's residual drift
-        rows[x] = (heads, probs)
+    for i, (v, heads) in enumerate(rlay.heads.items()):
+        row = probs[ptr[i]:ptr[i + 1]]
+        rows[v] = (heads, row / row.sum())  # remove the solver's residual drift
     return Environment(rgraph, rows)
 
 
@@ -214,82 +184,53 @@ def redirect_to(env: Environment, x, y) -> Environment:
     edges = [(t, h, w) for t, h, w in env.graph.edges() if t != x]
     edges.append((x, y, 1.0))
     g2 = WeightedDigraph(edges, vertices=env.graph.vertices)
-    rows = {}
-    for v in g2.vertices:
-        if v == x:
-            rows[v] = ((y,), np.array([1.0]))
-        else:
-            rows[v] = env.row(v)
+    rows = {v: env.row(v) for v in g2.vertices}
+    rows[x] = ((y,), np.array([1.0]))
     return Environment(g2, rows)
 
 
 # --- linear algebra ----------------------------------------------------------
 
 
-def _check_coreachable(env: Environment, boundary, unknown):
-    """Every transient vertex must reach the boundary."""
-    rev = {}
-    for v in env.vertices:
-        heads, _ = env.row(v)
-        for h in heads:
-            rev.setdefault(h, []).append(v)
-    seen = set(boundary)
-    stack = list(boundary)
-    while stack:
-        z = stack.pop()
-        for t in rev.get(z, ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    missing = [v for v in unknown if v not in seen]
-    if missing:
-        raise UnreachableBoundary(f"no path to target/taboo from {missing[:5]!r}")
-
-
-def _solve_structured(unknown, rows_cols, rows_vals, b):
-    """Solve the unit-diagonal system given by scattered rows; banded when
-    the unknowns are consecutive integers with small bandwidth."""
+def _solve_structured(unknown, diag, rows, cols, vals, b):
+    """Solve the unit-diagonal system diag + (rows, cols, vals) = b, the
+    off-diagonal entries listed row by row; banded when the unknowns are
+    consecutive integers with small bandwidth."""
     n = len(unknown)
-    contiguous = (
-        all(isinstance(v, int) for v in unknown)
+    bw = int(np.abs(cols - rows).max(initial=0))
+    if (
+        n > 50
+        and bw < n // 4
+        and all(isinstance(v, int) for v in unknown)
         and unknown == list(range(unknown[0], unknown[0] + n))
-    )
-    bw = 0
-    for i, cols in enumerate(rows_cols):
-        for j in cols:
-            bw = max(bw, abs(j - i))
-    if contiguous and n > 50 and bw < n // 4:
+    ):
         ab = np.zeros((2 * bw + 1, n))
-        for i, (cols, vals) in enumerate(zip(rows_cols, rows_vals)):
-            for j, val in zip(cols, vals):
-                ab[bw + i - j, j] = val
+        ab[bw] = diag
+        ab[bw + rows - cols, cols] = vals
+        # the residual sums each row left to right, diagonal first
+        r_all = np.concatenate((np.arange(n), rows))
+        order = np.argsort(r_all, kind="stable")
+        r_all, c_all = r_all[order], np.concatenate((np.arange(n), cols))[order]
+        v_all = np.concatenate((diag, vals))[order]
+
+        def residual(x):
+            return b - np.bincount(r_all, weights=v_all * x[c_all], minlength=n)
+
         try:
             x = scipy.linalg.solve_banded((bw, bw), ab, b)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularSystem(str(exc)) from exc
-        resid = _residual(rows_cols, rows_vals, x, b)
-        if resid > RESIDUAL_TOL:
-            r = b - _matvec(rows_cols, rows_vals, x)
+        r = residual(x)
+        if float(np.max(np.abs(r))) > RESIDUAL_TOL:
             x = x + scipy.linalg.solve_banded((bw, bw), ab, r)
-            resid = _residual(rows_cols, rows_vals, x, b)
+            r = residual(x)
+        resid = float(np.max(np.abs(r)))
         if resid > RESIDUAL_TOL:
             raise SingularSystem(f"banded solve residual {resid:.3e}")
         return x
-    M = np.zeros((n, n))
-    for i, (cols, vals) in enumerate(zip(rows_cols, rows_vals)):
-        M[i, cols] = vals
+    M = np.diag(diag)
+    M[rows, cols] = vals
     return _dense_solve(M, b)
-
-
-def _matvec(rows_cols, rows_vals, x):
-    out = np.zeros(len(rows_cols))
-    for i, (cols, vals) in enumerate(zip(rows_cols, rows_vals)):
-        out[i] = sum(v * x[j] for j, v in zip(cols, vals))
-    return out
-
-
-def _residual(rows_cols, rows_vals, x, b):
-    return float(np.max(np.abs(b - _matvec(rows_cols, rows_vals, x))))
 
 
 def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,27 +249,22 @@ def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _support_strongly_connected(env: Environment) -> bool:
-    verts = env.vertices
-    if len(verts) == 1:
-        return True
-    anchor = verts[0]
-    fwd = {}
-    rev = {}
-    for v in verts:
-        heads, _ = env.row(v)
-        fwd[v] = list(heads)
-        for h in heads:
-            rev.setdefault(h, []).append(v)
-    for neigh in (fwd, rev):
-        seen = {anchor}
-        stack = [anchor]
-        while stack:
-            z = stack.pop()
-            for w in neigh.get(z, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < len(verts):
-            return False
-    return True
+def _stationary(env: Environment) -> np.ndarray:
+    """Stationary probabilities in vertex order (see invariant_measure)."""
+    g = env.graph
+    lay = g._layout()
+    n = len(g.vertices)
+    if not lay.strongly_connected():
+        raise NotStronglyConnected("support graph is not strongly connected")
+    P = np.zeros((n, n))
+    P[lay.tails, lay.cols] = env.probs
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = _dense_solve(A, b)
+    pi = pi / pi.sum()
+    residual = np.max(np.abs(pi @ P - pi))
+    if residual > RESIDUAL_TOL:
+        raise SingularSystem(f"stationarity residual {residual:.3e}")
+    return pi

@@ -137,11 +137,14 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     distributional match: reversing sampled environments against sampling
     directly on the edge-reversed graph, first/second moments within 3 SE."""
     g = build_drift_closure(p, M)
+    gr = g.reversed()
+    pos, rpos = g._layout().pos, gr._layout().pos
     base = RngStream(seed)
     max_cycle_err = 0.0
     for i in range(n_envs):
         env = sample_environment(g, base.substream(0, i))
-        rev = solver.time_reverse(env)
+        fwd = env.probs.tolist()
+        bwd = solver.time_reverse(env).probs.tolist()
         rnd = base.substream(1, i).python_random()
         for _ in range(n_cycles):
             cyc = _random_cycle(g, rnd)
@@ -149,24 +152,19 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
                 continue
             p_fwd = 1.0
             for t, h in zip(cyc, cyc[1:]):
-                p_fwd *= env.prob(t, h)
+                p_fwd *= fwd[pos[t, h]]
             rcyc = cyc[::-1]
             p_bwd = 1.0
             for t, h in zip(rcyc, rcyc[1:]):
-                p_bwd *= rev.prob(t, h)
+                p_bwd *= bwd[rpos[t, h]]
             max_cycle_err = max(max_cycle_err, abs(p_fwd - p_bwd))
 
-    gr = g.reversed()
-    edges = list(gr.edges())
-    a = np.empty((draws, len(edges)))
-    b = np.empty((draws, len(edges)))
+    # one column per reversed edge, in the order of gr.edges()
+    a = np.empty((draws, len(rpos)))
+    b = np.empty((draws, len(rpos)))
     for k in range(draws):
-        env = sample_environment(g, base.substream(2, k))
-        rev = solver.time_reverse(env)
-        direct = sample_environment(gr, base.substream(3, k))
-        for j, (t, h, _) in enumerate(edges):
-            a[k, j] = rev.prob(t, h)
-            b[k, j] = direct.prob(t, h)
+        a[k] = solver.time_reverse(sample_environment(g, base.substream(2, k))).probs
+        b[k] = sample_environment(gr, base.substream(3, k)).probs
     worst_z = 0.0
     for mat_a, mat_b in ((a, b), (a * a, b * b)):
         diff = np.abs(mat_a.mean(axis=0) - mat_b.mean(axis=0))
@@ -190,12 +188,13 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
 
 def _random_cycle(g: WeightedDigraph, rnd, max_len: int = 64):
     verts = g.vertices
+    out = g._layout().heads
     for _ in range(32):
         start = verts[rnd.randrange(len(verts))]
         path = [start]
         x = start
         for _ in range(max_len):
-            heads = sorted(g.out_edges(x))
+            heads = out[x]
             x = heads[rnd.randrange(len(heads))]
             path.append(x)
             if x == start:
@@ -331,29 +330,23 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
     g = tournier_graph()
     beta_min, witness = min_exit_weight(g, 0)
     gen = RngStream(seed).generator()
-    transient = [0, 1, 2, 3]
-    idx = {v: i for i, v in enumerate(transient)}
+    lay = g._layout()
+    # rows of the transient vertices 0-3, then the sink's certain self-loop
+    flat = np.concatenate(
+        [_gamma_rows(gen, lay.weights[lay.indptr[v]:lay.indptr[v + 1]], n_envs) for v in range(4)]
+        + [np.ones((n_envs, 1))], axis=1)
+    inner = (lay.tails < 4) & (lay.cols < 4)
     mats = np.tile(np.eye(4), (n_envs, 1, 1))
-    rows_cache = {}
-    for v in transient:
-        out = g.out_edges(v)
-        heads = tuple(sorted(out))
-        weights = np.array([out[h] for h in heads])
-        rows = _gamma_rows(gen, weights, n_envs)
-        rows_cache[v] = (heads, rows)
-        for j, h in enumerate(heads):
-            if h in idx:
-                mats[:, idx[v], idx[h]] -= rows[:, j]
+    mats[:, lay.tails[inner], lay.cols[inner]] -= flat[:, inner]
     e0 = np.zeros((4, 1))
-    e0[idx[0], 0] = 1.0
+    e0[0, 0] = 1.0
     sols = np.linalg.solve(mats, np.broadcast_to(e0, (n_envs, 4, 1)))
-    samples = sols[:, idx[0], 0]
+    samples = sols[:, 0, 0]
 
     # cross-check a few entries against the scalar solver path
     max_dev = 0.0
     for k in range(3):
-        env = _env_from_rows(g, rows_cache, k)
-        ref = solver.expected_visits(env, 0, [0, 1, 2, 3])
+        ref = solver.expected_visits(Environment(g, _probs=flat[k]), 0, [0, 1, 2, 3])
         max_dev = max(max_dev, abs(ref - samples[k]))
 
     k = stats.default_hill_k(n_envs)
@@ -368,14 +361,3 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
         "window": [lo, hi],
         "solver_cross_check_dev": max_dev,
     }
-
-
-def _env_from_rows(g: WeightedDigraph, rows_cache: dict, k: int) -> Environment:
-    rows = {}
-    for v in g.vertices:
-        if v in rows_cache:
-            heads, mat = rows_cache[v]
-            rows[v] = (heads, mat[k].copy())
-        else:
-            rows[v] = (tuple(sorted(g.out_edges(v))), np.array([1.0]))
-    return Environment(g, rows)

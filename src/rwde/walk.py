@@ -152,31 +152,36 @@ def simulate_derrw(g: WeightedDigraph, start, horizon: int, rng: RngStream,
     """Directed edge reinforced walk: step along an edge with probability
     proportional to its current weight, then increase that weight by 1."""
     rnd = rng.python_random().random
-    base = {v: [(h, w) for h, w in sorted(g.out_edges(v).items())] for v in g.vertices}
-    extra = {}
+    lay = g._layout()
+    verts = g.vertices
+    ptr = lay.indptr.tolist()
+    cols = lay.cols.tolist()
+    base = lay.weights.tolist()
+    weights = base[:]  # base weight plus traversals, per edge in layout order
+    crossed = [0] * len(base)
     x = start
+    i = lay.index[x]
     positions = [x]
     reason = "horizon"
     for _ in range(horizon):
-        out = base[x]
-        if not out:
+        lo, hi = ptr[i], ptr[i + 1]
+        if lo == hi:
             raise DeadEnd(f"vertex {x!r} has no outgoing edges")
         total = 0.0
-        weights = []
-        for h, w in out:
-            w += extra.get((x, h), 0)
-            weights.append(w)
-            total += w
+        for k in range(lo, hi):
+            total += weights[k]
         r = rnd() * total
         acc = 0.0
-        nxt = out[-1][0]
-        for (h, _), w in zip(out, weights):
-            acc += w
+        e = hi - 1
+        for k in range(lo, hi):
+            acc += weights[k]
             if r < acc:
-                nxt = h
+                e = k
                 break
-        extra[(x, nxt)] = extra.get((x, nxt), 0) + 1
-        x = nxt
+        crossed[e] += 1
+        weights[e] = base[e] + crossed[e]
+        i = cols[e]
+        x = verts[i]
         positions.append(x)
         if stop_on_return_to is not None and x == stop_on_return_to:
             reason = "hit_target"

@@ -109,6 +109,16 @@ def test_verify_harmonic_pass(capsys):
     assert rep["passed"] is True
 
 
+def test_verify_harmonic_clamps_solver_overshoot(capsys):
+    # one instance of this seed solves to 1 + 1.9e-9 at three sites; unclamped,
+    # the redirect appeared to lower them by more than the 1e-10 slack
+    code, out = _run(capsys, "verify", "harmonic", "--seed", "536872453", "--replicas", "30")
+    assert code == 0
+    rep = _validated(out)
+    assert rep["passed"] is True
+    assert rep["evidence"]["worst_drop"] >= -rep["evidence"]["slack"]
+
+
 def test_verify_beta_law_small(capsys):
     code, out = _run(capsys, "verify", "beta-law", "--alphas", "-1:1,1:2",
                      "--replicas", "300", "--window", "128", "--seed", "7")

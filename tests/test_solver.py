@@ -1,13 +1,19 @@
+import hashlib
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rwde import cli, verify
 from rwde.environment import Environment, RngStream, sample_environment
 from rwde.errors import NoExit, NotStronglyConnected, UnreachableBoundary
-from rwde.graphs import WeightedDigraph, build_halfline, build_window
-from rwde.model import validate_params
+from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
+from rwde.model import parse_alphas, validate_params
 from rwde.solver import (
     HittingProblem,
     escape_probability_bracket,
@@ -276,3 +282,100 @@ def test_time_reverse_cycle_identity_and_involution():
     back = time_reverse(rev)
     for t, h, _ in g.edges():
         assert back.prob(t, h) == pytest.approx(env.prob(t, h), abs=1e-10)
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_text())
+
+
+def test_solver_and_suite_outputs_golden():
+    # recorded before the solvers moved to the graph's flat row layout; a
+    # deliberate change of any of these outputs must update the file openly
+    for text, by_seed in GOLDEN["brackets"].items():
+        p, _ = parse_alphas(text)
+        g = build_halfline(p, 128)
+        for seed, (lower, upper) in by_seed.items():
+            br = escape_probability_bracket(p, sample_environment(g, RngStream(int(seed))))
+            assert (repr(br.lower), repr(br.upper)) == (lower, upper), (text, seed)
+    p, _ = parse_alphas("-1:1,1:2")
+    env = sample_environment(build_drift_closure(p, 6), RngStream(7))
+    rev_dump = time_reverse(env).dump().encode()
+    pi_items = repr(sorted(invariant_measure(env).items())).encode()
+    assert hashlib.sha256(rev_dump).hexdigest() == GOLDEN["closure"]["time_reverse_dump_sha256"]
+    assert hashlib.sha256(pi_items).hexdigest() == GOLDEN["closure"]["invariant_items_sha256"]
+    sizes = {"reversal": {"replicas": 50}, "beta-law": {"replicas": 10, "window": 128},
+             "derrw": {"steps": 500}, "loop-reversal": {"steps": 300},
+             "tournier": {"replicas": 2000}}
+    for name, kw in sizes.items():
+        _, evidence = verify.run_suite(name, p, seed=5, **kw)
+        assert cli.dumps(evidence) == GOLDEN["suites"][name], name
+
+
+def _bfs(succ, sources):
+    seen = set(sources)
+    stack = list(sources)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+@st.composite
+def _small_environments(draw):
+    """Environment on 2-7 vertices named by non-contiguous ints or strings,
+    every vertex with at least one out-edge, probabilities at least 1/63;
+    rows are listed with their heads in shuffled order."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        names = sorted(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True)))
+    else:
+        names = sorted(draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                                     min_size=n, max_size=n, unique=True)))
+    rows = {}
+    edges = []
+    for t in names:
+        heads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n, unique=True))
+        weights = np.array([draw(st.integers(1, 9)) for _ in heads], dtype=float)
+        rows[t] = (tuple(heads), weights / weights.sum())
+        edges += [(t, h, 1.0) for h in heads]
+    return Environment(WeightedDigraph(edges, vertices=names), rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_environments(), st.data())
+def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
+    verts = list(env.vertices)
+    target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
+    rest = [v for v in verts if v not in target]
+    taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
+    succ = {v: env.row(v)[0] for v in verts}
+    pred = {v: [t for t in verts if v in succ[t]] for v in verts}
+    unknown = [v for v in verts if v not in target | taboo]
+    problem = HittingProblem(env, target, taboo)
+    if not set(unknown) <= _bfs(pred, target | taboo):
+        with pytest.raises(UnreachableBoundary):
+            hitting_probability(problem)
+    else:
+        h = hitting_probability(problem)
+        M = np.eye(len(unknown))
+        b = np.zeros(len(unknown))
+        for i, v in enumerate(unknown):
+            for y, q in zip(*env.row(v)):
+                if y in target:
+                    b[i] += q
+                elif y in unknown:
+                    M[i, unknown.index(y)] -= q
+        x = np.linalg.solve(M, b) if unknown else b
+        assert set(h) == set(verts)
+        assert all(h[v] == 1.0 for v in target) and all(h[v] == 0.0 for v in taboo)
+        for i, v in enumerate(unknown):
+            assert abs(h[v] - x[i]) <= 1e-12
+
+    if all(_bfs(succ, [v]) == set(verts) for v in verts):
+        pi = invariant_measure(env)
+        flow = {v: sum(pi[t] * env.prob(t, v) for t in verts) for v in verts}
+        assert all(abs(flow[v] - pi[v]) <= 1e-12 for v in verts)
+    else:
+        with pytest.raises(NotStronglyConnected):
+            invariant_measure(env)
