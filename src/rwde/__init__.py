@@ -63,6 +63,7 @@ from .walk import (
     estimate_velocity,
     regeneration_times,
     simulate_derrw,
+    simulate_derrw_batch,
     simulate_line,
     simulate_quenched,
     trajectory_stats,

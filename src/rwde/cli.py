@@ -61,7 +61,6 @@ def _build_parser():
                         help="comma-separated offset:weight pairs, e.g. '-1:1,1:2'")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--threads", type=int,
                         default=int(os.environ.get("RWDE_THREADS", "1") or 1),
                         help="worker processes for the kappa0 search (0 = auto)")

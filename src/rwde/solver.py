@@ -114,11 +114,14 @@ def expected_visits(env: Environment, x, S) -> float:
     if not (reached[lay.tails] & ~inside[lay.cols]).any():
         raise NoExit(f"the walk cannot leave {S!r} from {x!r}")
 
-    where = np.cumsum(inside) - 1  # position within S
-    keep = inside[lay.tails] & inside[lay.cols]
-    M = np.eye(len(S))
+    # the system runs over the part of S that x reaches inside S: a closed
+    # class elsewhere in S would make it singular
+    n = int(reached.sum())
+    where = np.cumsum(reached) - 1  # position within the reached part
+    keep = reached[lay.tails] & reached[lay.cols]
+    M = np.eye(n)
     M[where[lay.tails[keep]], where[lay.cols[keep]]] -= env.probs[keep]
-    e = np.zeros(len(S))
+    e = np.zeros(n)
     e[where[lay.index[x]]] = 1.0
     y = _dense_solve(M, e)
     return float(y[where[lay.index[x]]])
@@ -221,11 +224,11 @@ def _solve_structured(unknown, diag, rows, cols, vals, b):
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularSystem(str(exc)) from exc
         r = residual(x)
-        if float(np.max(np.abs(r))) > RESIDUAL_TOL:
+        if float(np.max(np.abs(r))) > RESIDUAL_TOL:  # refinement cannot mend a nan
             x = x + scipy.linalg.solve_banded((bw, bw), ab, r)
             r = residual(x)
         resid = float(np.max(np.abs(r)))
-        if resid > RESIDUAL_TOL:
+        if not resid <= RESIDUAL_TOL:  # a NaN residual fails too
             raise SingularSystem(f"banded solve residual {resid:.3e}")
         return x
     M = np.diag(diag)
@@ -241,10 +244,10 @@ def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystem(str(exc)) from exc
     resid = float(np.max(np.abs(M @ x - b)))
-    if resid > RESIDUAL_TOL:
+    if resid > RESIDUAL_TOL:  # refinement cannot mend a nan
         x = x + scipy.linalg.lu_solve((lu, piv), b - M @ x)
         resid = float(np.max(np.abs(M @ x - b)))
-    if resid > RESIDUAL_TOL:
+    if not resid <= RESIDUAL_TOL:  # a NaN residual fails too
         raise SingularSystem(f"residual {resid:.3e} after refinement")
     return x
 
@@ -265,6 +268,6 @@ def _stationary(env: Environment) -> np.ndarray:
     pi = _dense_solve(A, b)
     pi = pi / pi.sum()
     residual = np.max(np.abs(pi @ P - pi))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise SingularSystem(f"stationarity residual {residual:.3e}")
     return pi

@@ -11,6 +11,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .model import DirichletParams, derive_params
 _BLOCK = 1024
 _NS_ENV = 1
 _NS_WALK = 2
+_CHUNK = 1024  # uniforms per draw from a reinforced walk's generator
 
 
 @dataclass(frozen=True)
@@ -150,44 +152,65 @@ def simulate_quenched(env: Environment, start: int, horizon: int, rng: RngStream
 def simulate_derrw(g: WeightedDigraph, start, horizon: int, rng: RngStream,
                    stop_on_return_to=None) -> Trajectory:
     """Directed edge reinforced walk: step along an edge with probability
-    proportional to its current weight, then increase that weight by 1."""
-    rnd = rng.python_random().random
+    proportional to its current weight, then increase that weight by 1.  The
+    one-run case of simulate_derrw_batch."""
+    path = simulate_derrw_batch(g, start, horizon, 1, rng, stop_on_return_to)[0]
+    hit = len(path) > 1 and path[-1] == stop_on_return_to
+    return Trajectory(start=start, positions=path, stop_reason="hit_target" if hit else "horizon",
+                      seed=rng.seed, stream=rng.index)
+
+
+def simulate_derrw_batch(g: WeightedDigraph, start, horizon: int, runs: int, rng: RngStream,
+                         stop_on_return_to=None) -> list:
+    """Positions (a tuple per run) of `runs` directed edge reinforced walks
+    from `start`, run one after another on the single Philox stream
+    ``rng.generator()``.
+
+    Every run starts from the base weights, takes at most `horizon` steps and
+    stops on reaching `stop_on_return_to` after at least one step.  Each step
+    draws exactly one uniform u, also at a vertex with one out-edge, and takes
+    the first out-edge, heads sorted, whose running weight sum exceeds u
+    times the vertex's current total (the last edge if none does); that
+    edge's weight and the vertex's total then grow by 1.0.  A run continues
+    the stream where the previous one stopped, so n runs are the first n runs
+    of any longer batch from the same stream.
+    """
     lay = g._layout()
     verts = g.vertices
     ptr = lay.indptr.tolist()
     cols = lay.cols.tolist()
     base = lay.weights.tolist()
-    weights = base[:]  # base weight plus traversals, per edge in layout order
-    crossed = [0] * len(base)
-    x = start
-    i = lay.index[x]
-    positions = [x]
-    reason = "horizon"
-    for _ in range(horizon):
-        lo, hi = ptr[i], ptr[i + 1]
-        if lo == hi:
-            raise DeadEnd(f"vertex {x!r} has no outgoing edges")
-        total = 0.0
-        for k in range(lo, hi):
-            total += weights[k]
-        r = rnd() * total
-        acc = 0.0
-        e = hi - 1
-        for k in range(lo, hi):
-            acc += weights[k]
-            if r < acc:
-                e = k
+    base_total = [math.fsum(base[ptr[i]:ptr[i + 1]]) for i in range(len(verts))]
+    first = lay.index[start]
+    stop = lay.index.get(stop_on_return_to, -1)
+    # uniforms come in chunks; the stream does not depend on the chunk size
+    size = min(_CHUNK, runs * horizon)
+    chunks = map(np.ndarray.tolist, map(rng.generator().random, repeat(size)))
+    uniform = chain.from_iterable(chunks).__next__
+    out = []
+    for _ in range(runs):
+        weights = base[:]
+        total = base_total[:]
+        i = first
+        path = [start]
+        for _ in range(horizon):
+            e = ptr[i]
+            last = ptr[i + 1] - 1
+            if last < e:
+                raise DeadEnd(f"vertex {verts[i]!r} has no outgoing edges")
+            r = uniform() * total[i]
+            acc = weights[e]
+            while r >= acc and e < last:
+                e += 1
+                acc += weights[e]
+            weights[e] += 1.0
+            total[i] += 1.0
+            i = cols[e]
+            path.append(verts[i])
+            if i == stop:
                 break
-        crossed[e] += 1
-        weights[e] = base[e] + crossed[e]
-        i = cols[e]
-        x = verts[i]
-        positions.append(x)
-        if stop_on_return_to is not None and x == stop_on_return_to:
-            reason = "hit_target"
-            break
-    return Trajectory(start=start, positions=tuple(positions), stop_reason=reason,
-                      seed=rng.seed, stream=rng.index)
+        out.append(tuple(path))
+    return out
 
 
 def annealed_path_probability(g: WeightedDigraph, path) -> float:

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from rwde import cli
 
@@ -191,6 +192,14 @@ def test_speed_rejects_nonpositive_sizes(capsys):
     _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--steps", "0")
     _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--replicas", "0")
     _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--steps", "-5", "--method", "regeneration")
+
+
+def test_format_flag_rejected(capsys):
+    # --format was accepted and never read; argparse now refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--alphas=-1:1,1:2", "--steps", "5", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_simulate_rejects_negative_steps(capsys):

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from rwde import cli, verify
 from rwde.environment import Environment, RngStream, sample_environment
-from rwde.errors import NoExit, NotStronglyConnected, UnreachableBoundary
+from rwde.errors import NoExit, NotStronglyConnected, SingularSystem, UnreachableBoundary
 from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from rwde.model import parse_alphas, validate_params
 from rwde.solver import (
     HittingProblem,
+    _dense_solve,
     escape_probability_bracket,
     expected_visits,
     hitting_probability,
@@ -120,6 +121,28 @@ def test_expected_visits_no_exit():
     env = Environment(g, {0: ((1,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
     with pytest.raises(NoExit):
         expected_visits(env, 0, [0, 1])
+
+
+def test_expected_visits_ignores_unreachable_closed_class():
+    # {1, 2} is a closed class inside S that 0 cannot reach; over all of S
+    # the system is singular and the solve used to return nan
+    g = WeightedDigraph([(0, 0, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
+    env = Environment(g, {
+        0: ((0, 3), np.array([0.5, 0.5])),
+        1: ((2,), np.array([1.0])),
+        2: ((1,), np.array([1.0])),
+        3: ((3,), np.array([1.0])),
+    })
+    assert expected_visits(env, 0, [0, 1, 2]) == 2.0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_dense_solve_rejects_singular_system():
+    # the residual of an inf/nan solution is nan, which must fail the check
+    for M, b in (([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]), ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0])):
+        with pytest.raises(SingularSystem):
+            _dense_solve(np.array(M), np.array(b))
 
 
 def test_expected_visits_matches_monte_carlo():

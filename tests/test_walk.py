@@ -19,6 +19,7 @@ from rwde.walk import (
     estimate_velocity,
     regeneration_times,
     simulate_derrw,
+    simulate_derrw_batch,
     simulate_line,
     simulate_quenched,
     trajectory_stats,
@@ -95,6 +96,72 @@ def test_derrw_dead_end():
     g = WeightedDigraph([(0, 1, 1.0)], vertices=[0, 1])
     with pytest.raises(DeadEnd):
         simulate_derrw(g, 0, 3, RngStream(0))
+    with pytest.raises(DeadEnd):
+        simulate_derrw_batch(g, 0, 3, 5, RngStream(0))
+
+
+def _derrw_reference(g, start, horizon, runs, rng, stop=None):
+    """One gen.random() per step, weights keyed by edge, heads scanned in
+    sorted order."""
+    gen = rng.generator()
+    out = []
+    for _ in range(runs):
+        weights = {(t, h): w for t, h, w in g.edges()}
+        total = {v: math.fsum(g.out_edges(v).values()) for v in g.vertices}
+        x, path = start, [start]
+        for _ in range(horizon):
+            heads = sorted(g.out_edges(x))
+            if not heads:
+                raise DeadEnd(x)
+            r, acc = gen.random() * total[x], 0.0
+            for h in heads:
+                acc += weights[x, h]
+                if r < acc:
+                    break
+            weights[x, h] += 1.0
+            total[x] += 1.0
+            x = h
+            path.append(x)
+            if x == stop:
+                break
+        out.append(tuple(path))
+    return out
+
+
+@st.composite
+def _derrw_cases(draw):
+    """Graphs on 2-6 vertices labelled 0, 10, 20, ..., every vertex with at
+    least one out-edge (self-loops allowed), weights in [0.1, 3]."""
+    n = draw(st.integers(2, 6))
+    verts = [10 * k for k in range(n)]
+    edges = []
+    for t in verts:
+        for h in draw(st.lists(st.sampled_from(verts), min_size=1, max_size=n, unique=True)):
+            edges.append((t, h, draw(st.floats(0.1, 3.0))))
+    stop = draw(st.one_of(st.none(), st.sampled_from(verts)))
+    return WeightedDigraph(edges), draw(st.sampled_from(verts)), stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_derrw_cases(), horizon=st.integers(0, 40), runs=st.integers(1, 12),
+       extra=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_derrw_batch_matches_reference(case, horizon, runs, extra, seed):
+    g, start, stop = case
+    rng = RngStream(seed, (3,))
+    batch = simulate_derrw_batch(g, start, horizon, runs, rng, stop_on_return_to=stop)
+    assert batch == _derrw_reference(g, start, horizon, runs, rng, stop)
+    longer = simulate_derrw_batch(g, start, horizon, runs + extra, rng, stop_on_return_to=stop)
+    assert longer[:runs] == batch
+    traj = simulate_derrw(g, start, horizon, rng, stop_on_return_to=stop)
+    assert traj.positions == batch[0]
+
+
+def test_derrw_return_at_horizon_is_a_hit():
+    g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
+    assert simulate_derrw_batch(g, 0, 2, 3, RngStream(4), stop_on_return_to=0) == [(0, 1, 0)] * 3
+    assert simulate_derrw(g, 0, 2, RngStream(4), stop_on_return_to=0).stop_reason == "hit_target"
+    assert simulate_derrw(g, 0, 1, RngStream(4), stop_on_return_to=0).stop_reason == "horizon"
+    assert simulate_derrw(g, 0, 0, RngStream(4), stop_on_return_to=0).stop_reason == "horizon"
 
 
 def test_annealed_path_probability_examples():
