@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import verify
@@ -28,13 +27,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_dash_values(argv))
     try:
-        return args.func(args)
-    except RwdeError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, args)
-        return 1
-    except ValueError as exc:
-        _emit({"error": {"code": "ValueError", "message": str(exc)}}, args)
-        return 1
+        try:
+            return args.func(args)
+        except RwdeError as exc:
+            _emit({"error": {"code": exc.code, "message": str(exc)}}, args)
+        except ValueError as exc:
+            _emit({"error": {"code": "ValueError", "message": str(exc)}}, args)
+    except OSError as exc:
+        # --out could not be written, so the error goes to stdout
+        sys.stdout.write(dumps({"error": {"code": "OSError", "message": str(exc)}}) + "\n")
+    return 1
 
 
 def _join_dash_values(argv):
@@ -61,25 +63,18 @@ def _build_parser():
                         help="comma-separated offset:weight pairs, e.g. '-1:1,1:2'")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("RWDE_THREADS", "1") or 1),
-                        help="worker processes for the kappa0 search (0 = auto)")
 
-    sp = sub.add_parser("analyze", help="derived parameters, kappa0, and regime")
-    common(sp)
-    sp.add_argument("--max-diameter", type=int, default=None)
-    sp.add_argument("--strategy", choices=("exhaustive", "branch_and_bound"),
-                    default="branch_and_bound")
-    sp.add_argument("--require-certified", action="store_true")
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("kappa0", help="trap-exponent search only")
-    common(sp)
-    sp.add_argument("--max-diameter", type=int, default=None)
-    sp.add_argument("--strategy", choices=("exhaustive", "branch_and_bound"),
-                    default="branch_and_bound")
-    sp.add_argument("--require-certified", action="store_true")
-    sp.set_defaults(func=cmd_kappa0)
+    for name, help_text, func in (
+        ("analyze", "derived parameters, kappa0, and regime", cmd_analyze),
+        ("kappa0", "trap-exponent search only", cmd_kappa0),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        common(sp)
+        sp.add_argument("--max-diameter", type=int, default=None)
+        sp.add_argument("--strategy", choices=("exhaustive", "branch_and_bound"),
+                        default="branch_and_bound")
+        sp.add_argument("--require-certified", action="store_true")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("simulate", help="one quenched walk on the integer line (CSV)")
     common(sp)
@@ -104,12 +99,25 @@ def _build_parser():
     return parser
 
 
-def cmd_analyze(args) -> int:
+def _search(args) -> tuple:
+    """Parse the weights and run the kappa0 search at --max-diameter, by
+    default max(m0, min(certified bound, DEFAULT_ANALYZE_DIAMETER)).
+    Returns (params, derived params, diameter, result)."""
     p, dp = parse_alphas(args.alphas)
     max_d = args.max_diameter
     if max_d is None:
         max_d = max(dp.m0, min(diameter_bound(p, dp), DEFAULT_ANALYZE_DIAMETER))
-    k0 = kappa0_search(p, max_d, strategy=args.strategy, threads=args.threads)
+    return p, dp, max_d, kappa0_search(p, max_d, strategy=args.strategy)
+
+
+def _emit_search(report: dict, args, k0) -> int:
+    """Emit a search report; exit 3 if --require-certified is not met."""
+    _emit(report, args)
+    return 3 if args.require_certified and not k0.certified else 0
+
+
+def cmd_analyze(args) -> int:
+    p, dp, _, k0 = _search(args)
     regime = classify_regime(p, k0)
     report = {
         "command": "analyze",
@@ -127,18 +135,11 @@ def cmd_analyze(args) -> int:
         "ballistic": regime.ballistic,
         "warning": regime.warning,
     }
-    _emit(report, args)
-    if args.require_certified and not k0.certified:
-        return 3
-    return 0
+    return _emit_search(report, args, k0)
 
 
 def cmd_kappa0(args) -> int:
-    p, dp = parse_alphas(args.alphas)
-    max_d = args.max_diameter
-    if max_d is None:
-        max_d = max(dp.m0, min(diameter_bound(p, dp), DEFAULT_ANALYZE_DIAMETER))
-    k0 = kappa0_search(p, max_d, strategy=args.strategy, threads=args.threads)
+    p, _, max_d, k0 = _search(args)
     report = {
         "command": "kappa0",
         "alphas": {str(i): p.alphas[i] for i in sorted(p.alphas)},
@@ -146,10 +147,7 @@ def cmd_kappa0(args) -> int:
         "strategy": args.strategy,
         "kappa0": _k0_json(k0),
     }
-    _emit(report, args)
-    if args.require_certified and not k0.certified:
-        return 3
-    return 0
+    return _emit_search(report, args, k0)
 
 
 def cmd_simulate(args) -> int:

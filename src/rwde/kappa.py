@@ -16,14 +16,12 @@ branch-and-bound otherwise.  Two facts make the pruning sharp:
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DiameterTooSmall, EmptySet, UncertifiedKappa0
 from .graphs import WeightedDigraph, strongly_connected
-from .model import DirichletParams, DerivedParams, derive_params
+from .model import DirichletParams, DerivedParams, _sc_bits, derive_params
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -86,7 +84,13 @@ def diameter_bound(p: DirichletParams, dp: DerivedParams | None = None) -> int:
     dp = dp or derive_params(p)
     eps = min(p.alphas[i] for i in p.support)
     total = dp.d_plus + dp.d_minus
-    N = max(1, math.ceil(total / eps - 1e-12))
+    ratio = total / eps
+    if not math.isfinite(ratio):
+        weights = {i: p.alphas[i] for i in sorted(p.alphas)}
+        raise ValueError(
+            f"diameter bound overflows: (d+ + d-)/eps = {total!r}/{eps!r} for weights {weights}"
+        )
+    N = max(1, math.ceil(ratio - 1e-12))
     return (N - 1) * dp.m0
 
 
@@ -103,8 +107,11 @@ def kappa0_search(
     Ties are broken toward the smallest cardinality, then lexicographically
     smallest offset tuple, so the witness is reproducible.  ``exhaustive``
     enumerates every subset (feasible up to diameter ~22) and serves as the
-    oracle for ``branch_and_bound``.
+    oracle for ``branch_and_bound``.  The search runs in one process;
+    ``threads`` accepts only 1.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (the search runs in one process), got {threads}")
     dp = derive_params(p)
     if max_diameter < dp.m0:
         raise DiameterTooSmall(f"max_diameter {max_diameter} < m0 = {dp.m0}")
@@ -116,7 +123,7 @@ def kappa0_search(
         key, nodes = _exhaustive(p, max_diameter, seed)
         exhausted = False
     else:
-        key, nodes, exhausted = _branch_and_bound(p, max_diameter, seed, node_budget, threads)
+        key, nodes, exhausted = _BnB(p, max_diameter).run(seed, node_budget)
 
     value, _, offsets = key
     witness = exit_weights(p, offsets)
@@ -196,7 +203,7 @@ def _seed_candidate(p, dp, max_diameter):
     for S in cands:
         if max(S) > max_diameter:
             continue
-        if len(S) > 1 and not _sc_offsets(set(S), support):
+        if len(S) > 1 and not _sc_bits(sum(1 << z for z in S), support):
             continue
         ts = exit_weights(p, S)
         key = (ts.beta, len(S), S)
@@ -205,27 +212,9 @@ def _seed_candidate(p, dp, max_diameter):
     return best  # may be None in pathological cases; search still covers all
 
 
-def _sc_offsets(S: set, support) -> bool:
-    for offs in (support, [-i for i in support]):
-        seen = {0}
-        stack = [0]
-        while stack:
-            z = stack.pop()
-            for i in offs:
-                w = z + i
-                if w in S and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < len(S):
-            return False
-    return True
-
-
 def _exhaustive(p, D, seed):
     """Bit-parallel enumeration of all subsets of [0, D] containing 0."""
     support = [i for i in p.support if i != 0]
-    out_off = support
-    in_off = [-i for i in support]
     has_loop = p.alphas.get(0, 0.0) > 0.0
     weights = {i: p.alphas[i] for i in support}
     best = seed
@@ -236,10 +225,10 @@ def _exhaustive(p, D, seed):
         if mask == 1:
             if not has_loop:
                 continue
-        elif not _sc_bits(mask, out_off, in_off):
+        elif not _sc_bits(mask, support):
             continue
         beta = 0.0
-        for i in out_off:
+        for i in support:
             shifted = (mask >> i) if i > 0 else (mask << -i)
             beta += weights[i] * (mask & ~shifted).bit_count()
         if best is not None and beta > best[0]:
@@ -249,21 +238,6 @@ def _exhaustive(p, D, seed):
         if best is None or key < best:
             best = key
     return best, nodes
-
-
-def _sc_bits(mask, out_off, in_off):
-    for offs in (out_off, in_off):
-        reach = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for i in offs:
-                nxt |= (frontier << i) if i > 0 else (frontier >> -i)
-            frontier = nxt & mask & ~reach
-            reach |= frontier
-        if reach != mask:
-            return False
-    return True
 
 
 class _BnB:
@@ -289,22 +263,14 @@ class _BnB:
         self.nodes = 0
         self.exhausted = False
 
-    def run(self, seed, budget, forced=()):
-        """Search; `forced` pre-decides vertices 1..len(forced) (True=include)."""
+    def run(self, seed, budget):
         self.budget = budget
         self.best = seed  # (beta, card, offsets) or None
-        D = self.D
-        in_set = [False] * (D + 1)
-        in_set[0] = True
-        self.in_set = in_set
+        self.in_set = [True] + [False] * self.D
         m = len(self.support)
         self.counts = [1] * m   # exits of the decided set ({0}: every offset exits)
         self.floors = [0] * m   # finalized exits only
-        k = 1
-        for decision in forced:
-            self._apply(k, decision)
-            k += 1
-        self._dfs(k)
+        self._dfs(1)
         return self.best, self.nodes, self.exhausted
 
     def _weighted(self, counts) -> float:
@@ -333,26 +299,6 @@ class _BnB:
                 if 0 <= t < k and in_set[t]:
                     self.floors[j] += 1  # edge (t, k) finalized as an exit
 
-    def _undo(self, k, include):
-        in_set = self.in_set
-        if include:
-            in_set[k] = False
-            for j, i in enumerate(self.support):
-                t = k - i
-                if 0 <= t < k and in_set[t]:
-                    self.counts[j] += 1
-                h = k + i
-                if h < 0 or h > self.D or (h < k and not in_set[h]):
-                    self.floors[j] -= 1
-                    self.counts[j] -= 1
-                elif not (0 <= h < k and in_set[h]):
-                    self.counts[j] -= 1
-        else:
-            for j, i in enumerate(self.support):
-                t = k - i
-                if 0 <= t < k and in_set[t]:
-                    self.floors[j] -= 1
-
     def _dfs(self, k):
         self.nodes += 1
         if self.nodes > self.budget:
@@ -371,48 +317,19 @@ class _BnB:
             if len(S) == 1:
                 if not self.has_loop:
                     return
-            elif not _sc_offsets(set(S), self.support):
+            elif not _sc_bits(sum(1 << z for z in S), self.support):
                 return
             key = (self._weighted(self.counts), len(S), S)
             if best is None or key < best:
                 self.best = key
             return
+        counts, floors = self.counts[:], self.floors[:]
         for include in (True, False):
             self._apply(k, include)
             self._dfs(k + 1)
-            self._undo(k, include)
+            self.counts[:] = counts
+            self.floors[:] = floors
+            self.in_set[k] = False
             if self.exhausted:
                 return
 
-
-def _branch_and_bound(p, D, seed, budget, threads):
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or D < 6:
-        bnb = _BnB(p, D)
-        best, nodes, exhausted = bnb.run(seed, budget)
-        return best, nodes, exhausted
-
-    # Fan out the first `depth` decisions as independent tasks.  Workers share
-    # no state; each starts from the same seed incumbent, so the reduced
-    # result is identical to the sequential one for any interleaving.
-    depth = max(1, min(D - 1, (threads * 4).bit_length()))
-    prefixes = [tuple((m >> b) & 1 == 1 for b in range(depth)) for m in range(1 << depth)]
-    per_budget = max(1, budget // len(prefixes))
-    args = [(p, D, seed, per_budget, forced) for forced in prefixes]
-    best = seed
-    nodes = 0
-    exhausted = False
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for key, n, ex in pool.map(_bnb_task, args, chunksize=max(1, len(args) // threads)):
-            nodes += n
-            exhausted = exhausted or ex
-            if key is not None and (best is None or key < best):
-                best = key
-    return best, nodes, exhausted
-
-
-def _bnb_task(arg):
-    p, D, seed, budget, forced = arg
-    bnb = _BnB(p, D)
-    return bnb.run(seed, budget, forced=forced)

@@ -139,28 +139,36 @@ def compute_m0(p: DirichletParams) -> int:
     cap = 4 * (p.L + p.R) ** 2
     m = max(p.L, p.R)
     while m <= cap:
-        if _interval_all_pairs_connected(m, support):
+        if _sc_bits((1 << m) - 1, support):
             return m
         m += 1
     raise CapExceeded(f"no strongly connected interval up to length {cap}")
 
 
-def _interval_all_pairs_connected(m: int, support) -> bool:
-    if m <= 1:
-        return True
-    for s in range(m):
-        seen = 1 << s
-        frontier = [s]
-        while frontier:
-            z = frontier.pop()
-            for i in support:
-                w = z + i
-                if 0 <= w < m and not (seen >> w) & 1:
-                    seen |= 1 << w
-                    frontier.append(w)
-        if seen != (1 << m) - 1:
-            return False
-    return True
+def _sc_bits(mask: int, support) -> bool:
+    """Is the offset set `mask` (bit z for offset z, bit 0 set) strongly
+    connected under the jumps in `support`: does bit 0 reach every set bit,
+    and every set bit reach bit 0, inside the set?  A singleton passes;
+    callers apply their own self-loop rule.  The mirrored pass is written
+    out, not built as a negated offset list, because the exhaustive search
+    calls this once per subset."""
+    reach = frontier = 1
+    while frontier:  # forward: the sites bit 0 reaches
+        nxt = 0
+        for i in support:
+            nxt |= (frontier << i) if i > 0 else (frontier >> -i)
+        frontier = nxt & mask & ~reach
+        reach |= frontier
+    if reach != mask:
+        return False
+    reach = frontier = 1
+    while frontier:  # backward: the sites that reach bit 0, every shift mirrored
+        nxt = 0
+        for i in support:
+            nxt |= (frontier >> i) if i > 0 else (frontier << -i)
+        frontier = nxt & mask & ~reach
+        reach |= frontier
+    return reach == mask
 
 
 def reflect(p: DirichletParams) -> DirichletParams:

@@ -152,11 +152,25 @@ def test_speed_deterministic_reruns(capsys):
     assert out1 == out2
 
 
-def test_kappa0_threads_flag(capsys):
-    code, out = _run(capsys, "kappa0", "--alphas", "-6:1,2:1,3:1",
-                     "--max-diameter", "12", "--threads", "2")
-    assert code == 0
-    assert _validated(out)["kappa0"]["witness"] == [0, 3, 6]
+def test_threads_flag_rejected(capsys):
+    # the kappa0 search runs in one process; --threads is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kappa0", "--alphas=-6:1,2:1,3:1", "--max-diameter", "12", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_threads_environment_variable_ignored():
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwde.cli", "analyze", "--alphas=-1:1,1:2"],
+        capture_output=True, text=True, env={**os.environ, "RWDE_THREADS": "x"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _validated(proc.stdout)["kappa0"]["witness"] == [0, 1]
 
 
 def test_console_script_entry_point(tmp_path):
@@ -212,3 +226,23 @@ def test_verify_rejects_nonpositive_sizes(capsys):
     _run_error(capsys, "verify", "beta-law", "--replicas", "0")
     _run_error(capsys, "verify", "beta-law", "--window", "-3")
     _run_error(capsys, "verify", "derrw", "--steps", "0")
+
+
+def test_diameter_bound_overflow_is_a_json_error(capsys):
+    for argv in (("analyze", "--alphas=-1:1e-320,1:1"),
+                 ("analyze", "--alphas=-1:1e308,1:1e308"),
+                 ("kappa0", "--alphas=-1:1e-320,1:1", "--max-diameter", "5")):
+        rep = _run_error(capsys, *argv)
+        assert "diameter bound overflows" in rep["error"]["message"]
+
+
+def test_unwritable_out_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code = cli.main(["analyze", "--alphas=-1:1,1:2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert _validated(lines[0])["error"]["code"] == "OSError"
+    assert not path.exists()

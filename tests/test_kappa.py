@@ -17,6 +17,7 @@ from conftest import random_params
 
 B7 = validate_params(16, 5, {-16: 1 / 67, 2: 15 / 67, 5: 5 / 67})
 S4 = (0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16)
+TWO_LOOP = validate_params(6, 3, {-6: 1.0, 2: 1.0, 3: 1.0})
 
 
 def test_exit_weights_pair_formula():
@@ -220,17 +221,67 @@ def test_node_budget_flags_partial_result():
     assert res.value >= 1.0 - 1e-12  # incumbent is always a valid upper bound
 
 
-def test_parallel_matches_sequential():
-    rnd = random.Random(8)
-    for _ in range(5):
+# (value, witness, nodes_explored, budget_exhausted) of the branch-and-bound
+# search; the node counts pin the search order and pruning, not only the answer
+PINNED_SEARCHES = [
+    (B7, 24, (1.0, S4, 19395, False)),
+    (B7, 40, (1.0, S4, 71547, False)),
+    (TWO_LOOP, 12, (6.0, (0, 3, 6), 1701, False)),
+    (TWO_LOOP, 24, (6.0, (0, 3, 6), 9381, False)),
+]
+PINNED_RANDOM = [
+    (5.754272724849281, (0,), 25, False),
+    (3.4541214310326804, (0,), 25, False),
+    (6.390847776235801, (0,), 25, False),
+    (6.592939815806853, (0,), 25, False),
+    (3.2034983254696963, (0,), 25, False),
+    (6.070846448153301, (0,), 25, False),
+    (9.805560741473439, (0, 1, 2), 175, False),
+    (6.471522831441605, (0, 1), 157, False),
+    (9.363688079911379, (0,), 25, False),
+    (5.077218494892577, (0,), 25, False),
+    (3.1947875611657883, (0,), 157, False),
+    (2.563985961396717, (0,), 25, False),
+    (8.309100837917319, (0, 1), 157, False),
+    (2.9910699720896265, (0,), 157, False),
+    (6.251632080658403, (0,), 25, False),
+    (6.7713910925916165, (0,), 25, False),
+    (8.311400507509457, (0,), 25, False),
+    (5.940149082115807, (0, 2), 205, False),
+    (3.8245510538965872, (0,), 25, False),
+    (7.068018481344827, (0, 1, 2), 303, False),
+]
+
+
+def _pin(res):
+    return (res.value, res.witness.offsets, res.nodes_explored, res.budget_exhausted)
+
+
+@pytest.mark.parametrize("p, D, expected", PINNED_SEARCHES)
+def test_search_pinned_outputs(p, D, expected):
+    assert _pin(kappa0_search(p, D)) == expected
+
+
+def test_search_pinned_outputs_randomized():
+    rnd = random.Random(2024)
+    for expected in PINNED_RANDOM:
         p = random_params(rnd)
-        D = max(derive_params(p).m0, 9)
-        a = kappa0_search(p, D, threads=1)
-        b = kappa0_search(p, D, threads=2)
-        assert (a.value, a.witness.offsets) == (b.value, b.witness.offsets)
-    a = kappa0_search(B7, 24, threads=2)
-    assert a.value == pytest.approx(1.0, abs=1e-9)
-    assert a.witness.offsets == S4
+        D = max(derive_params(p).m0, 12)
+        assert _pin(kappa0_search(p, D)) == expected
+
+
+def test_search_runs_in_one_process():
+    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
+    assert kappa0_search(p, 6, threads=1).value == 3.0
+    with pytest.raises(ValueError, match="threads"):
+        kappa0_search(p, 6, threads=2)
+
+
+def test_diameter_bound_overflow_names_weights():
+    for alphas in ({-1: 1e-320, 1: 1.0}, {-1: 1e308, 1: 1e308}):
+        p = validate_params(1, 1, alphas)
+        with pytest.raises(ValueError, match=r"weights \{-1: "):
+            diameter_bound(p)
 
 
 def test_min_exit_weight_generic_graph():

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwde.errors import EmptySide, EndpointZero, GcdViolation, NegativeWeight
+from rwde.graphs import build_window, strongly_connected
 from rwde.model import (
+    DirichletParams,
+    _sc_bits,
     compute_m0,
     derive_params,
     parse_alphas,
@@ -164,6 +167,23 @@ def test_reflect_involution_property(L, R, wl, wr, w1, wm1):
     q = reflect(reflect(p))
     assert q.L == p.L and q.R == p.R and q.alphas == p.alphas
     assert derive_params(reflect(p)).kappa1 == pytest.approx(-derive_params(p).kappa1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    support=st.sets(st.integers(-5, 5).filter(bool), min_size=1),
+    D=st.integers(1, 14),
+    data=st.data(),
+)
+def test_sc_bits_matches_graph_strong_connectivity(support, D, data):
+    # the kappa0 strategies and compute_m0 all share _sc_bits, so its oracle
+    # is the graph layer's induced-subgraph check on the window [0, D]
+    rest = data.draw(st.sets(st.integers(1, D), min_size=1))
+    S = {0} | rest
+    p = DirichletParams(L=max(1, -min(support)), R=max(1, max(support)),
+                        alphas={i: 1.0 for i in support})
+    mask = sum(1 << z for z in S)
+    assert _sc_bits(mask, sorted(support)) == strongly_connected(build_window(p, 0, D), S)
 
 
 def test_cap_exceeded_is_unreachable_for_valid_params():
