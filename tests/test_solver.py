@@ -333,6 +333,20 @@ def test_solver_and_suite_outputs_golden():
         assert cli.dumps(evidence) == GOLDEN["suites"][name], name
 
 
+def test_wide_support_reversal_golden():
+    # recorded before the reversal suite was batched: with L >= 2 the rows
+    # have 4-5 entries, where a different summation order or a batched LU
+    # would change the last bits
+    for text, evidence in GOLDEN["reversal_wide"].items():
+        p, _ = parse_alphas(text)
+        _, ev = verify.run_suite("reversal", p, seed=5, replicas=50)
+        assert cli.dumps(ev) == evidence, text
+    p, _ = parse_alphas(GOLDEN["closure_wide"]["alphas"])
+    env = sample_environment(build_drift_closure(p, 6), RngStream(7))
+    digest = hashlib.sha256(time_reverse(env).dump().encode()).hexdigest()
+    assert digest == GOLDEN["closure_wide"]["time_reverse_dump_sha256"]
+
+
 def _bfs(succ, sources):
     seen = set(sources)
     stack = list(sources)
