@@ -11,6 +11,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import verify
 from .environment import RngStream
 from .errors import RwdeError
@@ -216,10 +218,6 @@ def _k0_json(k0) -> dict:
 
 def dumps(obj) -> str:
     """JSON with sorted keys and floats at 12 significant digits."""
-    return _dump(obj)
-
-
-def _dump(obj) -> str:
     if obj is None:
         return "null"
     if obj is True:
@@ -236,18 +234,13 @@ def _dump(obj) -> str:
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(f"{_dump(str(k))}:{_dump(v)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{dumps(str(k))}:{dumps(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dump(v) for v in obj) + "]"
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return _dump(float(obj))
-    except ImportError:  # pragma: no cover
-        pass
+        return "[" + ",".join(dumps(v) for v in obj) + "]"
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return dumps(float(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

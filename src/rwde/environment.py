@@ -120,24 +120,18 @@ class Environment:
             self._rows = None
             self._probs = _probs
             return
-        checked = {}
-        flat = []
+        checked, flat = {}, []
         for x, sorted_heads in graph._layout().heads.items():
             heads, probs = rows[x]
-            heads = tuple(heads)
-            if sorted_heads != tuple(sorted(heads)):
+            heads, probs = tuple(heads), np.asarray(probs, dtype=float)
+            if sorted_heads != tuple(sorted(heads)) or probs.shape != (len(heads),):
                 raise ValueError(f"row support at {x} does not match out-edges")
-            probs = np.asarray(probs, dtype=float)
-            if abs(probs.sum() - 1.0) > self.ROW_SUM_TOL:
-                raise ValueError(f"row at {x} sums to {probs.sum()!r}")
-            if (probs <= 0.0).any() or (probs > 1.0).any():
-                raise ValueError(f"row at {x} has entries outside (0, 1]")
             checked[x] = (heads, probs)
-            if heads != sorted_heads:
-                probs = probs[sorted(range(len(heads)), key=heads.__getitem__)]
-            flat.append(probs)
+            flat.append(probs if heads == sorted_heads
+                        else probs[sorted(range(len(heads)), key=heads.__getitem__)])
         self._rows = checked
         self._probs = np.concatenate(flat or [np.empty(0)])
+        _check_rows(graph, self._probs[None])
 
     @property
     def vertices(self) -> tuple:
@@ -173,6 +167,19 @@ class Environment:
         return "\n".join(lines)
 
 
+def _check_rows(g: WeightedDigraph, probs: np.ndarray) -> None:
+    """ValueError unless each row of the (k, edges) matrix probs sums to 1
+    within Environment.ROW_SUM_TOL and has its entries in (0, 1]."""
+    for rows, flat in g._layout().row_groups:
+        block = np.take(probs, flat, axis=1)
+        bad = ((np.abs(block.sum(axis=2) - 1.0) > Environment.ROW_SUM_TOL)
+               | ((block <= 0.0) | (block > 1.0)).any(axis=2))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"row at {g.vertices[rows[j]]!r} is not a probability "
+                             f"vector: {block[i, j].tolist()}")
+
+
 def sample_environment(g: WeightedDigraph, rng) -> Environment:
     """One environment on g: independent rows, row at x Dirichlet with the
     out-edge weights at x as concentrations."""
@@ -183,14 +190,35 @@ def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
     """n independent environments, sampled per vertex in one batch.
 
     Vertices are processed in sorted order from a single generator, so the
-    output is a pure function of (stream, n).
+    output is a pure function of (stream, n).  For n == 1 one gamma call
+    draws every row that is not a lone self-loop and each row is divided by
+    its own ``sum()``: the variates and floats of the per-vertex calls, so
+    the same environment.  If a row underflows to zeros, the generator is
+    rewound and the per-vertex path, which redraws and counts such rows,
+    runs instead.
     """
     gen = _as_generator(rng)
     lay = g._layout()
+    groups = lay.row_groups
+    if groups and groups[0][1].shape[1] == 0:
+        raise IsolatedVertex(f"vertex {g.vertices[groups[0][0][0]]!r} has no outgoing edges")
+    if n == 1:
+        state = gen.bit_generator.state
+        probs = np.ones(lay.weights.size)
+        # the variates of gamma(a) (scale 1) at half its call overhead
+        probs[lay.drawn] = gen.standard_gamma(lay.weights[lay.drawn])
+        for _, flat in groups:
+            rows = probs[flat]
+            sums = rows.sum(axis=1, keepdims=True)
+            if not sums.all():
+                gen.bit_generator.state = state
+                break
+            probs[flat] = rows / sums
+        else:
+            probs[probs == 0.0] = _MIN_POSITIVE
+            return [Environment(g, _probs=probs)]
     blocks = []
     for i, (x, heads) in enumerate(lay.heads.items()):
-        if not heads:
-            raise IsolatedVertex(f"vertex {x!r} has no outgoing edges")
         if heads == (x,):
             blocks.append(np.ones((n, 1)))
         else:

@@ -100,7 +100,7 @@ class _RowLayout:
     """
 
     __slots__ = ("index", "heads", "pos", "indptr", "tails", "cols", "weights",
-                 "by_head", "head_ptr", "_strong")
+                 "by_head", "head_ptr", "row_groups", "drawn", "_strong")
 
     def __init__(self, g: WeightedDigraph):
         import numpy as np
@@ -124,6 +124,15 @@ class _RowLayout:
         self.weights = np.array(weights, dtype=float)
         self.by_head = np.argsort(self.cols, kind="stable")
         self.head_ptr = np.searchsorted(self.cols[self.by_head], bounds)
+        deg = np.diff(self.indptr)
+        # (vertex positions, (rows, length) flat positions) per row length:
+        # np.take(probs, flat, axis=-1).sum(-1) adds as each row's sum() does,
+        # which reduceat, a left-to-right or a fancy-indexed sum do not.  Not
+        # np.unique: its sort maps 0.4 MB more of numpy into the process.
+        rows = [np.flatnonzero(deg == d) for d in sorted(set(deg.tolist()))]
+        self.row_groups = [(r, self.indptr[r, None] + np.arange(deg[r[0]])) for r in rows]
+        # the entries a Dirichlet sampler draws: all but lone self-loop rows
+        self.drawn = np.flatnonzero(~((deg == 1)[self.tails] & (self.tails == self.cols)))
         self._strong = None
 
     def reach(self, sources, within=None, backward=False) -> list:

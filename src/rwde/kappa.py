@@ -24,6 +24,8 @@ from .graphs import WeightedDigraph, strongly_connected
 from .model import DirichletParams, DerivedParams, _sc_bits, derive_params
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# 2^D subsets: D = 24, the CLI's default diameter, takes 36-41 s on 2 CPUs
+EXHAUSTIVE_MAX_DIAMETER = 24
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,9 @@ def kappa0_search(
 
     Ties are broken toward the smallest cardinality, then lexicographically
     smallest offset tuple, so the witness is reproducible.  ``exhaustive``
-    enumerates every subset (feasible up to diameter ~22) and serves as the
-    oracle for ``branch_and_bound``.  The search runs in one process;
-    ``threads`` accepts only 1.
+    enumerates every subset, up to diameter EXHAUSTIVE_MAX_DIAMETER (24),
+    and serves as the oracle for ``branch_and_bound``.  The search runs in
+    one process; ``threads`` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (the search runs in one process), got {threads}")
@@ -117,6 +119,9 @@ def kappa0_search(
         raise DiameterTooSmall(f"max_diameter {max_diameter} < m0 = {dp.m0}")
     if strategy not in ("exhaustive", "branch_and_bound"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "exhaustive" and max_diameter > EXHAUSTIVE_MAX_DIAMETER:
+        raise ValueError(f"exhaustive search enumerates 2^{max_diameter} subsets; use "
+                         f"branch_and_bound above diameter {EXHAUSTIVE_MAX_DIAMETER}")
 
     seed = _seed_candidate(p, dp, max_diameter)
     if strategy == "exhaustive":

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .environment import Environment
+from .environment import Environment, _check_rows
 from .errors import (
     NoExit,
     NotStronglyConnected,
@@ -158,27 +158,14 @@ def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBr
 def invariant_measure(env: Environment) -> dict:
     """Stationary probability pi of the row-stochastic environment on a
     strongly connected finite graph: pi P = pi, sum(pi) = 1."""
-    return dict(zip(env.vertices, _stationary(env).tolist()))
+    return dict(zip(env.vertices, _stationary(env.graph, env.probs[None])[0].tolist()))
 
 
 def time_reverse(env: Environment) -> Environment:
     """Reversed-chain environment: new row prob x -> y is
     pi(y) * prob(y, x) / pi(x); cycles keep their probability with the
     orientation flipped."""
-    pi = _stationary(env)
-    lay = env.graph._layout()
-    rgraph = env.graph.reversed()
-    rlay = rgraph._layout()
-    # reversed edge (x, y) is forward edge (y, x); by_head lists those in
-    # the reversed graph's order
-    x, y = rlay.tails, rlay.cols
-    probs = pi[y] * env.probs[lay.by_head] / pi[x]
-    ptr = rlay.indptr.tolist()
-    rows = {}
-    for i, (v, heads) in enumerate(rlay.heads.items()):
-        row = probs[ptr[i]:ptr[i + 1]]
-        rows[v] = (heads, row / row.sum())  # remove the solver's residual drift
-    return Environment(rgraph, rows)
+    return Environment(env.graph.reversed(), _probs=_reverse(env.graph, env.probs[None])[0])
 
 
 def redirect_to(env: Environment, x, y) -> Environment:
@@ -252,22 +239,41 @@ def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stationary(env: Environment) -> np.ndarray:
-    """Stationary probabilities in vertex order (see invariant_measure)."""
-    g = env.graph
+def _stationary(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
+    """Stationary probabilities (see invariant_measure) of k environments on
+    g, given as the rows of a (k, edges) matrix; one _dense_solve each."""
     lay = g._layout()
     n = len(g.vertices)
     if not lay.strongly_connected():
         raise NotStronglyConnected("support graph is not strongly connected")
-    P = np.zeros((n, n))
-    P[lay.tails, lay.cols] = env.probs
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
+    P = np.zeros((len(probs), n, n))
+    P[:, lay.tails, lay.cols] = probs
+    A = np.ascontiguousarray(P.transpose(0, 2, 1)) - np.eye(n)  # C-ordered, as P.T - I was
+    A[:, -1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    pi = _dense_solve(A, b)
-    pi = pi / pi.sum()
-    residual = np.max(np.abs(pi @ P - pi))
+    pi = np.array([_dense_solve(M, b) for M in A]).reshape(len(probs), n)
+    if not np.all((pi > 0.0) & (pi < np.inf)):
+        # a small residual does not keep tiny components from the wrong side of 0
+        raise SingularSystem(f"stationary solve gave a component {pi.min():.3e} <= 0")
+    pi = pi / pi.sum(axis=1, keepdims=True)
+    residual = np.max(np.abs(np.matmul(pi[:, None, :], P)[:, 0] - pi), initial=0.0)
     if not residual <= RESIDUAL_TOL:
         raise SingularSystem(f"stationarity residual {residual:.3e}")
     return pi
+
+
+def _reverse(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
+    """time_reverse of k environments on g, given as the rows of a (k, edges)
+    matrix; the result's columns follow ``g.reversed().edges()``."""
+    pi = _stationary(g, probs)
+    rlay = g.reversed()._layout()
+    # reversed edge (x, y) is forward edge (y, x), listed by by_head; np.take
+    # keeps out C-ordered, the layout verify.time_reversal's moments sum over
+    out = (np.take(pi, rlay.cols, axis=1) * np.take(probs, g._layout().by_head, axis=1)
+           / np.take(pi, rlay.tails, axis=1))
+    for _, flat in rlay.row_groups:
+        block = np.take(out, flat, axis=1)
+        out[:, flat] = block / block.sum(axis=2, keepdims=True)  # drop the solve's drift
+    _check_rows(g.reversed(), out)
+    return out

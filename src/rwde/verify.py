@@ -7,6 +7,8 @@ comparisons use 3 or 4 standard errors as stated per suite.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import solver, stats, walk
@@ -150,36 +152,42 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
                   n_envs: int = 100, n_cycles: int = 100) -> tuple:
     """Per-environment cycle identity (deterministic, 1e-10) plus the
     distributional match: reversing sampled environments against sampling
-    directly on the edge-reversed graph, first/second moments within 3 SE."""
+    directly on the edge-reversed graph, first/second moments within 3 SE.
+
+    Batch layout: environment i of part j comes from stream (j, i) and is row
+    i of an (environments, edges) matrix.  Parts 0 (n_envs, cycles drawn
+    from stream (1, i)) and 2 (draws) live on the closure and are reversed
+    in one ``solver._reverse`` call each; part 3 lives on the reversed one.
+    """
     g = build_drift_closure(p, M)
     gr = g.reversed()
-    pos, rpos = g._layout().pos, gr._layout().pos
     base = RngStream(seed)
+
+    def sample(graph, part, count):
+        return np.array([sample_environment(graph, base.substream(part, i)).probs
+                         for i in range(count)]).reshape(count, graph._layout().weights.size)
+
+    fwd = sample(g, 0, n_envs)
+    # reversed probabilities indexed by the forward edge they reverse: gr's
+    # edges sorted by head, then tail, are g's edges in g's order
+    bwd = solver._reverse(g, fwd)[:, gr._layout().by_head]
+    ptr, cols = g._layout().indptr.tolist(), g._layout().cols.tolist()
+    heads = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
     max_cycle_err = 0.0
-    for i in range(n_envs):
-        env = sample_environment(g, base.substream(0, i))
-        fwd = env.probs.tolist()
-        bwd = solver.time_reverse(env).probs.tolist()
-        rnd = base.substream(1, i).python_random()
+    for f, r, i in zip(fwd.tolist(), bwd.tolist(), range(n_envs)):
+        getrandbits = base.substream(1, i).python_random().getrandbits
         for _ in range(n_cycles):
-            cyc = _random_cycle(g, rnd)
-            if cyc is None:
+            edges = _random_cycle(ptr, heads, getrandbits)
+            if edges is None:
                 continue
-            p_fwd = 1.0
-            for t, h in zip(cyc, cyc[1:]):
-                p_fwd *= fwd[pos[t, h]]
-            rcyc = cyc[::-1]
-            p_bwd = 1.0
-            for t, h in zip(rcyc, rcyc[1:]):
-                p_bwd *= bwd[rpos[t, h]]
+            # products left to right; the reversed cycle runs the edges backwards
+            p_fwd = math.prod(map(f.__getitem__, edges))
+            p_bwd = math.prod(map(r.__getitem__, reversed(edges)))
             max_cycle_err = max(max_cycle_err, abs(p_fwd - p_bwd))
 
     # one column per reversed edge, in the order of gr.edges()
-    a = np.empty((draws, len(rpos)))
-    b = np.empty((draws, len(rpos)))
-    for k in range(draws):
-        a[k] = solver.time_reverse(sample_environment(g, base.substream(2, k))).probs
-        b[k] = sample_environment(gr, base.substream(3, k)).probs
+    a = solver._reverse(g, sample(g, 2, draws))
+    b = sample(gr, 3, draws)
     worst_z = 0.0
     for mat_a, mat_b in ((a, b), (a * a, b * b)):
         diff = np.abs(mat_a.mean(axis=0) - mat_b.mean(axis=0))
@@ -201,19 +209,30 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     }
 
 
-def _random_cycle(g: WeightedDigraph, rnd, max_len: int = 64):
-    verts = g.vertices
-    out = g._layout().heads
+def _randbelow(getrandbits, n: int, k: int) -> int:
+    """``Random.randrange(n)`` for n >= 1 with k = n.bit_length(): CPython's
+    rejection loop over getrandbits(k), without randrange's call layers."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_cycle(ptr: list, heads: list, getrandbits, max_len: int = 64):
+    """Flat positions of the edges of a random closed walk (up to 32 tries
+    of max_len uniform steps), or None; ptr and heads are the layout's row
+    pointers and head positions, and each choice draws as randrange would."""
+    n = len(heads)
     for _ in range(32):
-        start = verts[rnd.randrange(len(verts))]
-        path = [start]
-        x = start
+        x = start = _randbelow(getrandbits, n, n.bit_length())
+        edges = []
         for _ in range(max_len):
-            heads = out[x]
-            x = heads[rnd.randrange(len(heads))]
-            path.append(x)
+            hx = heads[x]
+            r = _randbelow(getrandbits, len(hx), len(hx).bit_length())
+            edges.append(ptr[x] + r)
+            x = hx[r]
             if x == start:
-                return path
+                return edges
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import pytest
@@ -234,6 +235,27 @@ def test_diameter_bound_overflow_is_a_json_error(capsys):
                  ("kappa0", "--alphas=-1:1e-320,1:1", "--max-diameter", "5")):
         rep = _run_error(capsys, *argv)
         assert "diameter bound overflows" in rep["error"]["message"]
+
+
+def test_verify_reversal_small_weights_is_a_json_error(capsys):
+    # the stationary solve returns components of about -1e-13 on some
+    # closures of these weights; they pass the absolute residual check and
+    # used to give negative reversed rows, a ValueError and RuntimeWarnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["verify", "reversal", "--alphas=-1:0.05,1:0.1",
+                         "--replicas", "50", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, caught) == (1, "", [])
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert _validated(lines[0])["error"]["code"] == "SingularSystem"
+
+
+def test_exhaustive_search_above_cap_is_a_json_error(capsys):
+    rep = _run_error(capsys, "kappa0", "--alphas=-1:1,1:2", "--max-diameter", "40",
+                     "--strategy", "exhaustive")
+    assert "branch_and_bound" in rep["error"]["message"]
 
 
 def test_unwritable_out_is_a_json_error(tmp_path, capsys):

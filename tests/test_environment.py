@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwde.environment import (
     Environment,
@@ -170,3 +172,67 @@ def test_environment_validation():
         Environment(g, {0: ((1,), np.array([0.5])), 1: ((0,), np.array([1.0]))})
     with pytest.raises(ValueError):
         Environment(g, {0: ((0,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
+    with pytest.raises(ValueError):  # one probability more than heads
+        Environment(g, {0: ((1,), np.array([0.5, 0.5])), 1: ((0,), np.array([1.0]))})
+
+
+def _per_vertex_reference(g, stream):
+    """One environment drawn vertex by vertex: a gamma call per row that is
+    not a lone self-loop, all-zero rows redrawn, zeros clamped.  Returns the
+    flat probabilities and the number of redraws."""
+    gen = stream.generator()
+    flat, redraws = [], 0
+    for x in g.vertices:
+        row = g.out_edges(x)
+        heads = sorted(row)
+        if heads == [x]:
+            flat.append(1.0)
+            continue
+        a = np.array([row[h] for h in heads])
+        draw = gen.gamma(a, size=(1, a.size))
+        while not (draw > 0.0).any():
+            redraws += 1
+            draw = gen.gamma(a, size=(1, a.size))
+        probs = draw / draw.sum(axis=1, keepdims=True)
+        probs[probs == 0.0] = 5e-324
+        flat.extend(probs[0].tolist())
+    return np.array(flat), redraws
+
+
+@st.composite
+def _sampling_graphs(draw):
+    """12 vertices with out-degrees 1-10 (lone self-loops included) and
+    concentrations from 1e-3, where whole rows underflow, to 5."""
+    edges = []
+    for x in range(12):
+        heads = draw(st.lists(st.integers(0, 11), min_size=1, max_size=10, unique=True))
+        for h in heads:
+            edges.append((x, h, 10.0 ** draw(st.floats(-3.0, np.log10(5.0)))))
+    return WeightedDigraph(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sampling_graphs(), st.integers(0, 2**32))
+def test_single_environment_matches_per_vertex_reference(g, seed):
+    # n == 1 draws every row in one gamma call and normalises rows grouped
+    # by length; it must give the per-vertex floats byte for byte, sums of 8
+    # or more entries included, and fall back (counting redraws) on underflow
+    stream = RngStream(seed, (3,))
+    expected, redraws = _per_vertex_reference(g, stream)
+    before = resample_count()
+    got = sample_environments(g, stream, 1)[0].probs
+    assert resample_count() - before == redraws
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_single_environment_fallback_counts_redraws():
+    # rows of two 1e-3 shapes underflow together in about a fifth of draws
+    g = WeightedDigraph([(0, 1, 1e-3), (0, 2, 1e-3), (1, 0, 1.0), (2, 0, 1e-3), (2, 1, 1e-3)])
+    total = 0
+    for seed in range(20):
+        expected, redraws = _per_vertex_reference(g, RngStream(seed))
+        before = resample_count()
+        assert sample_environment(g, RngStream(seed)).probs.tobytes() == expected.tobytes()
+        assert resample_count() - before == redraws
+        total += redraws
+    assert total > 0

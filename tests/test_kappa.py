@@ -5,6 +5,7 @@ import pytest
 
 from rwde.errors import DiameterTooSmall, EmptySet, UncertifiedKappa0
 from rwde.kappa import (
+    EXHAUSTIVE_MAX_DIAMETER,
     classify_regime,
     diameter_bound,
     exit_weights,
@@ -275,6 +276,15 @@ def test_search_runs_in_one_process():
     assert kappa0_search(p, 6, threads=1).value == 3.0
     with pytest.raises(ValueError, match="threads"):
         kappa0_search(p, 6, threads=2)
+
+
+def test_exhaustive_search_diameter_capped():
+    # 2^D subsets: the cap is the CLI's default diameter
+    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
+    assert EXHAUSTIVE_MAX_DIAMETER == 24
+    with pytest.raises(ValueError, match="branch_and_bound"):
+        kappa0_search(p, EXHAUSTIVE_MAX_DIAMETER + 1, strategy="exhaustive")
+    assert kappa0_search(p, EXHAUSTIVE_MAX_DIAMETER + 1).value == 3.0
 
 
 def test_diameter_bound_overflow_names_weights():

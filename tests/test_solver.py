@@ -347,6 +347,49 @@ def test_wide_support_reversal_golden():
     assert digest == GOLDEN["closure_wide"]["time_reverse_dump_sha256"]
 
 
+def test_cycle_draw_matches_randrange():
+    # the reversal suite draws its cycles through getrandbits tables; each
+    # draw must be the one Random.randrange(n) makes, rejections included
+    for n in range(1, 10):
+        ref, rnd = random.Random(n), random.Random(n)
+        expected = [ref.randrange(n) for _ in range(10_000)]
+        assert [verify._randbelow(rnd.getrandbits, n, n.bit_length())
+                for _ in range(10_000)] == expected, n
+        assert ref.random() == rnd.random()  # the same bits were consumed
+
+
+def _reference_cycle(g, rnd, max_len=64):
+    """The reversal suite's cycle walk on randrange: vertices and heads."""
+    verts = g.vertices
+    for _ in range(32):
+        start = verts[rnd.randrange(len(verts))]
+        path = [start]
+        x = start
+        for _ in range(max_len):
+            heads = sorted(g.out_edges(x))
+            x = heads[rnd.randrange(len(heads))]
+            path.append(x)
+            if x == start:
+                return path
+    return None
+
+
+def test_random_cycle_tables_match_randrange_walk():
+    for text in ("-1:1,1:2", "-2:0.7,-1:0.4,0:0.3,2:1.1,3:0.9"):
+        p, _ = parse_alphas(text)
+        for g in (build_drift_closure(p, 6), build_window(p, 0, 5)):
+            lay = g._layout()
+            pos, ptr = lay.pos, lay.indptr.tolist()
+            heads = [lay.cols[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+            for seed in range(5):
+                ref, rnd = random.Random(seed), random.Random(seed)
+                for _ in range(50):
+                    cyc = _reference_cycle(g, ref)
+                    edges = verify._random_cycle(ptr, heads, rnd.getrandbits)
+                    want = None if cyc is None else [pos[t, h] for t, h in zip(cyc, cyc[1:])]
+                    assert edges == want
+
+
 def _bfs(succ, sources):
     seen = set(sources)
     stack = list(sources)
