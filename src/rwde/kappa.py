@@ -26,6 +26,10 @@ from .model import DirichletParams, DerivedParams, _sc_bits, derive_params
 DEFAULT_NODE_BUDGET = 50_000_000
 # 2^D subsets: D = 24, the CLI's default diameter, takes 36-41 s on 2 CPUs
 EXHAUSTIVE_MAX_DIAMETER = 24
+# _BnB._dfs recurses once per site; under Python's default recursion limit
+# of 1000 it overflows above D = 985-994 called directly or from the CLI and
+# above D = 956 under pytest
+BRANCH_AND_BOUND_MAX_DIAMETER = 900
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,9 @@ def kappa0_search(
     Ties are broken toward the smallest cardinality, then lexicographically
     smallest offset tuple, so the witness is reproducible.  ``exhaustive``
     enumerates every subset, up to diameter EXHAUSTIVE_MAX_DIAMETER (24),
-    and serves as the oracle for ``branch_and_bound``.  The search runs in
-    one process; ``threads`` accepts only 1.
+    and serves as the oracle for ``branch_and_bound``, which goes up to
+    BRANCH_AND_BOUND_MAX_DIAMETER (900).  The search runs in one process;
+    ``threads`` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (the search runs in one process), got {threads}")
@@ -122,6 +127,9 @@ def kappa0_search(
     if strategy == "exhaustive" and max_diameter > EXHAUSTIVE_MAX_DIAMETER:
         raise ValueError(f"exhaustive search enumerates 2^{max_diameter} subsets; use "
                          f"branch_and_bound above diameter {EXHAUSTIVE_MAX_DIAMETER}")
+    if strategy == "branch_and_bound" and max_diameter > BRANCH_AND_BOUND_MAX_DIAMETER:
+        raise ValueError(f"branch_and_bound recurses once per site and stops at diameter "
+                         f"{BRANCH_AND_BOUND_MAX_DIAMETER}, got {max_diameter}")
 
     seed = _seed_candidate(p, dp, max_diameter)
     if strategy == "exhaustive":

@@ -331,7 +331,7 @@ def regeneration_times(traj: Trajectory, tail_buffer: int) -> list:
     future_ok[:-1] = x[:-1] <= suffix_min[1:]
     limit = n - 1 - tail_buffer
     idx = np.nonzero(past_ok & future_ok)[0]
-    return [int(i) for i in idx if i <= limit]
+    return idx[idx <= limit].tolist()
 
 
 def default_tail_buffer(p: DirichletParams) -> int:
@@ -415,12 +415,42 @@ def _regen_indices(xs: np.ndarray, tail_buffer: int) -> list:
     return regeneration_times(traj, tail_buffer)
 
 
+def _first_rows(level: int) -> int:
+    """Rows of block 0 that a first passage to `level` can read."""
+    return min(max(level, 1), _BLOCK)
+
+
+def _nn_steps(rnd):
+    """The segment runner of final_position and first passage: d
+    nearest-neighbour steps from index i of a window, no bounds check."""
+    def run(tab, lo, i, d):
+        for _ in range(d):
+            i += 1 if rnd() < tab[i] else -1
+        return i
+    return run
+
+
 class _LineWalker:
     """Quenched walks on the integer line with block-lazy environments.
 
     Block b covers sites [1024*b, 1024*b + 1023] and is sampled from the
     stream (seed, rep, ENV, b), so the realized rows never depend on the
-    order of first visits.
+    order of first visits.  Exactly the blocks the walk visits are sampled.
+
+    Nearest-neighbour walks run in segments (`_nn_walk`): a window `tab` of
+    up to two adjacent sampled blocks with first site `lo` holds the walk at
+    index i = x - lo, and the next d = min(i, len(tab) - 1 - i) + 1 steps
+    (at most the steps left) read only indices inside the window, so they
+    run without a bounds check.  Leaving the window samples the block entered
+    if it is new and joins it to the block left.  A first passage to `level`
+    also caps d at level - x (at 1 before the first step), so it can hit
+    only on a segment's last step.  General supports keep a checked step.
+
+    First passage reads the row at 0 and then only rows below `level`, so
+    block 0 is drawn as its first min(max(level, 1), 1024) rows: the same
+    rows as the full block, since gamma variates are drawn in row order.  If
+    one of those rows underflows to all zeros, the full block is drawn from a
+    fresh generator on the same key instead, so the redraw matches.
     """
 
     def __init__(self, p: DirichletParams):
@@ -431,51 +461,83 @@ class _LineWalker:
 
     # -- block sampling ------------------------------------------------------
 
-    def _nn_block(self, stream: RngStream, b: int) -> list:
-        gen = stream.substream(_NS_ENV, b).generator()
-        a_right = self.p.alphas[1]
-        a_left = self.p.alphas[-1]
-        rows = _gamma_rows(gen, np.array([a_right, a_left]), _BLOCK)
-        return rows[:, 0].tolist()
+    def _rows(self, stream: RngStream, b: int, a: np.ndarray, rows: int) -> np.ndarray:
+        """The first `rows` normalized gamma rows of block b."""
+        key = stream.substream(_NS_ENV, b)
+        if rows < _BLOCK:
+            out = _gamma_rows(key.generator(), a, rows, redraw=False)
+            if out is not None:
+                return out
+        return _gamma_rows(key.generator(), a, _BLOCK)
 
-    def _gen_block(self, stream: RngStream, b: int) -> list:
+    def _nn_block(self, stream: RngStream, b: int, rows: int = _BLOCK) -> list:
+        """Per site, the probability of the step to the right."""
+        a = np.array([self.p.alphas[1], self.p.alphas[-1]])
+        return self._rows(stream, b, a, rows)[:, 0].copy().tolist()
+
+    def _gen_block(self, stream: RngStream, b: int, rows: int = _BLOCK) -> list:
         """Per site, the first k-1 cumulative row sums as Python floats: the
         thresholds between the k offsets (the last sum is never read)."""
-        gen = stream.substream(_NS_ENV, b).generator()
-        rows = _gamma_rows(gen, self.weights, _BLOCK)
-        flat = iter(np.cumsum(rows[:, :-1], axis=1).ravel().tolist())
-        return list(zip(*[flat] * (rows.shape[1] - 1)))  # regroup by site
+        g = self._rows(stream, b, self.weights, rows)
+        for j in range(1, g.shape[1] - 1):
+            g[:, j] += g[:, j - 1]  # np.cumsum(axis=1) adds in this order
+        flat = iter(g[:, :-1].ravel().tolist())
+        return list(zip(*[flat] * (g.shape[1] - 1)))  # regroup by site
 
     def _block_at(self, stream: RngStream, blocks: dict, x: int) -> tuple:
-        """The block holding site x, sampled on first use, and its first site."""
+        """The general block holding site x, sampled on first use, and its
+        first site."""
         b = x >> 10
         blk = blocks.get(b)
         if blk is None:
-            sample = self._nn_block if self.nn else self._gen_block
-            blk = blocks[b] = sample(stream, b)
+            blk = blocks[b] = self._gen_block(stream, b)
         return blk, b << 10
 
     # -- kernels ---------------------------------------------------------------
     #
-    # Each loop keeps the current block `blk` and its first site `lo`, and
-    # looks a block up only when x leaves [lo, lo + 1024), i.e. when
+    # The general loops keep the current block `blk` and its first site `lo`,
+    # and look a block up only when x leaves [lo, lo + 1024), i.e. when
     # (x - lo) >> 10 is nonzero.  lo starts at 1024 so that the first step
-    # samples block 0.  The general kernel bisects the site's threshold
-    # table, which picks the same offset as a linear scan, ties included.
+    # looks up block 0.  They bisect the site's threshold table, which picks
+    # the same offset as a linear scan, ties included.
+
+    def _nn_walk(self, stream: RngStream, steps: int, level, run) -> tuple:
+        """Drive a nearest-neighbour walk of at most `steps` steps from 0 in
+        segments; run(tab, lo, i, d) takes d steps from index i of the window
+        and returns the new index.  With a `level` the walk stops on reaching
+        it.  Returns (final position, steps taken)."""
+        if steps < 1:
+            return 0, 0
+        blocks = {0: self._nn_block(stream, 0, _BLOCK if level is None else _first_rows(level))}
+        tab, lo = blocks[0], 0
+        x = n = 0
+        while n < steps:
+            i = x - lo
+            if not 0 <= i < len(tab):
+                b = x >> 10
+                if b not in blocks:
+                    blocks[b] = self._nn_block(stream, b)
+                first = b if i < 0 else b - 1  # the window: block entered and block left
+                tab, lo = blocks[first] + blocks[first + 1], first << 10
+                i = x - lo
+            d = min(i, len(tab) - 1 - i) + 1
+            if d > steps - n:
+                d = steps - n
+            if level is not None and d > level - x:
+                d = max(level - x, 1)
+            x = lo + run(tab, lo, i, d)
+            n += d
+            if level is not None and x >= level:
+                break
+        return x, n
 
     def final_position(self, stream: RngStream, steps: int) -> int:
         rnd = stream.substream(_NS_WALK).python_random().random
+        if self.nn:
+            return self._nn_walk(stream, steps, None, _nn_steps(rnd))[0]
         blocks = {}
         blk, lo = None, _BLOCK
         x = 0
-        if self.nn:
-            for _ in range(steps):
-                i = x - lo
-                if i >> 10:
-                    blk, lo = self._block_at(stream, blocks, x)
-                    i = x - lo
-                x += 1 if rnd() < blk[i] else -1
-            return x
         offs = self.support
         for _ in range(steps):
             i = x - lo
@@ -487,20 +549,19 @@ class _LineWalker:
 
     def positions(self, stream: RngStream, steps: int) -> np.ndarray:
         rnd = stream.substream(_NS_WALK).python_random().random
-        blocks = {}
-        blk, lo = None, _BLOCK
-        x = 0
         out = [0]
         append = out.append
         if self.nn:
-            for _ in range(steps):
-                i = x - lo
-                if i >> 10:
-                    blk, lo = self._block_at(stream, blocks, x)
-                    i = x - lo
-                x += 1 if rnd() < blk[i] else -1
-                append(x)
+            def run(tab, lo, i, d):
+                for _ in range(d):
+                    i += 1 if rnd() < tab[i] else -1
+                    append(lo + i)
+                return i
+            self._nn_walk(stream, steps, None, run)
         else:
+            blocks = {}
+            blk, lo = None, _BLOCK
+            x = 0
             offs = self.support
             for _ in range(steps):
                 i = x - lo
@@ -513,19 +574,14 @@ class _LineWalker:
 
     def first_time_at_or_above(self, stream: RngStream, level: int, horizon: int):
         rnd = stream.substream(_NS_WALK).python_random().random
-        blocks = {}
+        if self.nn:
+            x, n = self._nn_walk(stream, horizon, level, _nn_steps(rnd))
+            return n if n and x >= level else None
+        if horizon < 1:
+            return None
+        blocks = {0: self._gen_block(stream, 0, _first_rows(level))}
         blk, lo = None, _BLOCK
         x = 0
-        if self.nn:
-            for n in range(1, horizon + 1):
-                i = x - lo
-                if i >> 10:
-                    blk, lo = self._block_at(stream, blocks, x)
-                    i = x - lo
-                x += 1 if rnd() < blk[i] else -1
-                if x >= level:
-                    return n
-            return None
         offs = self.support
         for n in range(1, horizon + 1):
             i = x - lo

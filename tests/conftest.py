@@ -16,6 +16,23 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def plain_gamma_rows(gen, a, n):
+    """The plain gamma-rows sampler, the reference for the environment's
+    fast one: gamma with its default scale, all-zero rows found with any()
+    and redrawn, zeros clamped with a mask.  Returns the rows and the number
+    of redraws."""
+    g = gen.gamma(a, size=(n, a.size))
+    redraws = 0
+    bad = np.where(~(g > 0.0).any(axis=1))[0]
+    while bad.size:
+        redraws += int(bad.size)
+        g[bad] = gen.gamma(a, size=(bad.size, a.size))
+        bad = bad[~(g[bad] > 0.0).any(axis=1)]
+    rows = g / g.sum(axis=1, keepdims=True)
+    rows[rows == 0.0] = 5e-324
+    return rows, redraws
+
+
 def random_params(rnd, max_side: int = 3, lo: float = 0.1, hi: float = 3.0) -> DirichletParams:
     """Random valid weights with L, R <= max_side (resamples until the
     support passes validation)."""

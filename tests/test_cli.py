@@ -258,6 +258,12 @@ def test_exhaustive_search_above_cap_is_a_json_error(capsys):
     assert "branch_and_bound" in rep["error"]["message"]
 
 
+def test_branch_and_bound_above_cap_is_a_json_error(capsys):
+    # the search used to overflow Python's stack here with a RecursionError
+    rep = _run_error(capsys, "kappa0", "--alphas=-1:1,1:2", "--max-diameter", "1200")
+    assert "recurses once per site" in rep["error"]["message"]
+
+
 def test_unwritable_out_is_a_json_error(tmp_path, capsys):
     path = tmp_path / "missing" / "r.json"
     code = cli.main(["analyze", "--alphas=-1:1,1:2", "--out", str(path)])

@@ -18,6 +18,7 @@ from rwde.environment import (
 from rwde.errors import BadPartition, IsolatedVertex, NonpositiveConcentration
 from rwde.graphs import WeightedDigraph, build_window
 from rwde.model import validate_params
+from conftest import plain_gamma_rows
 
 
 def test_stream_reproducibility_and_independence():
@@ -236,3 +237,32 @@ def test_single_environment_fallback_counts_redraws():
         assert resample_count() - before == redraws
         total += redraws
     assert total > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([1e-3, 2e-3, 1e-2]), st.floats(1e-3, 5.0)),
+                min_size=1, max_size=10),
+       st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32))
+def test_gamma_rows_match_plain_sampler(con, n, m, seed):
+    # row sums of 8 or more entries, whole-row underflow at the 1e-3 shapes,
+    # and the prefix rule of the line walker: m rows drawn without redraws
+    # are the first m rows of a longer draw, or None if one underflowed
+    from rwde.environment import _gamma_rows
+
+    a = np.array(con)
+    stream = RngStream(seed, (5,))
+    expected, redraws = plain_gamma_rows(stream.generator(), a, n)
+    before = resample_count()
+    got = _gamma_rows(stream.generator(), a, n)
+    assert resample_count() - before == redraws
+    assert got.tobytes() == expected.tobytes()
+
+    longer, _ = plain_gamma_rows(stream.generator(), a, max(n, m))
+    _, prefix_redraws = plain_gamma_rows(stream.generator(), a, m)
+    before = resample_count()
+    prefix = _gamma_rows(stream.generator(), a, m, redraw=False)
+    assert resample_count() == before
+    if prefix_redraws:
+        assert prefix is None
+    else:
+        assert prefix.tobytes() == longer[:m].tobytes()

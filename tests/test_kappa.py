@@ -5,6 +5,7 @@ import pytest
 
 from rwde.errors import DiameterTooSmall, EmptySet, UncertifiedKappa0
 from rwde.kappa import (
+    BRANCH_AND_BOUND_MAX_DIAMETER,
     EXHAUSTIVE_MAX_DIAMETER,
     classify_regime,
     diameter_bound,
@@ -285,6 +286,16 @@ def test_exhaustive_search_diameter_capped():
     with pytest.raises(ValueError, match="branch_and_bound"):
         kappa0_search(p, EXHAUSTIVE_MAX_DIAMETER + 1, strategy="exhaustive")
     assert kappa0_search(p, EXHAUSTIVE_MAX_DIAMETER + 1).value == 3.0
+
+
+def test_branch_and_bound_diameter_capped():
+    # _BnB._dfs recurses once per site: the cap leaves room under pytest's
+    # deeper stack, and the first dive reaches the full depth in D nodes
+    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
+    res = kappa0_search(p, BRANCH_AND_BOUND_MAX_DIAMETER, node_budget=2 * BRANCH_AND_BOUND_MAX_DIAMETER)
+    assert res.value == 3.0 and res.budget_exhausted
+    with pytest.raises(ValueError, match="recurses once per site"):
+        kappa0_search(p, BRANCH_AND_BOUND_MAX_DIAMETER + 1)
 
 
 def test_diameter_bound_overflow_names_weights():

@@ -24,6 +24,7 @@ from rwde.walk import (
     simulate_quenched,
     trajectory_stats,
 )
+from conftest import plain_gamma_rows
 
 
 def _deterministic_right_env(n):
@@ -428,3 +429,100 @@ def test_threshold_table_bisect_matches_linear_scan(support, data, seed, block):
         uniforms += [math.nextafter(t, 1.0) for t in thresholds]
         for r in uniforms:
             assert offs[bisect_right(table[site], r)] == _linear_scan_offset(tuple(row), offs, r)
+
+
+def _reference_line_walk(p, stream, steps, level=None):
+    """One step at a time over full 1024-site blocks, each block drawn as
+    plain gamma rows on its own key and every row looked up by a linear
+    scan of its cumulative sums.  A nearest-neighbour row is drawn right
+    jump first.  Returns (path, first time at or above level, blocks read)."""
+    offs = (1, -1) if p.support == (-1, 1) else p.support
+    weights = np.array([p.alphas[i] for i in offs])
+    rnd = stream.substream(2).python_random().random
+    blocks = {}
+    x, path = 0, [0]
+    for n in range(1, steps + 1):
+        b = x >> 10
+        if b not in blocks:
+            rows, _ = plain_gamma_rows(stream.substream(1, b).generator(), weights, 1024)
+            blocks[b] = np.cumsum(rows, axis=1)
+        x += _linear_scan_offset(tuple(blocks[b][x - (b << 10)]), offs, rnd())
+        path.append(x)
+        if level is not None and x >= level:
+            return path, n, set(blocks)
+    return path, None, set(blocks)
+
+
+def _spy_blocks(monkeypatch, walker):
+    """Record the block indices and row counts the walker samples."""
+    seen = []
+    for name in ("_nn_block", "_gen_block"):
+        sample = getattr(walker, name)
+
+        def spy(stream, b, rows=1024, sample=sample):
+            seen.append((b, rows))
+            return sample(stream, b, rows)
+
+        monkeypatch.setattr(walker, name, spy)
+    return seen
+
+
+_REFERENCE_SUPPORTS = {
+    "nn": (1, 1, {-1: 1.0, 1: 4.0}),
+    "general": (1, 4, {-1: 1.0, 1: 1.0, 4: 0.5}),
+    "b7": (16, 5, {-16: 1 / 67, 2: 15 / 67, 5: 5 / 67}),
+    # whole rows underflow at these weights, so short first blocks fall back
+    "tiny": (1, 1, {-1: 1e-3, 1: 2e-3}),
+    "tiny_general": (2, 1, {-2: 2e-3, -1: 1e-3, 1: 2e-3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SUPPORTS))
+def test_first_passage_matches_per_step_reference(name, monkeypatch):
+    import rwde.walk as walk_mod
+
+    prefix_results = []
+    gamma_rows = walk_mod._gamma_rows
+
+    def spy_rows(gen, a, n, redraw=True):
+        out = gamma_rows(gen, a, n, redraw)
+        if not redraw:
+            prefix_results.append(out is not None)
+        return out
+
+    monkeypatch.setattr(walk_mod, "_gamma_rows", spy_rows)
+    p = validate_params(*_REFERENCE_SUPPORTS[name])
+    walker = walk_mod._LineWalker(p)
+    seen = _spy_blocks(monkeypatch, walker)
+    for rep in range(3):
+        stream = RngStream(31, (rep,))
+        for level in (-3, 0, 1, 2, 5, 1023, 1024, 1025, 3000):
+            seen.clear()
+            _, expected, visited = _reference_line_walk(p, stream, 8000, level)
+            assert walker.first_time_at_or_above(stream, level, 8000) == expected
+            # exactly the visited blocks, block 0 drawn only up to the level
+            assert sorted(b for b, _ in seen) == sorted(visited)
+            assert dict(seen).get(0) == min(max(level, 1), 1024)
+    if name.startswith("tiny"):
+        assert False in prefix_results and True in prefix_results
+    else:
+        assert all(prefix_results)
+
+
+@pytest.mark.parametrize("alphas", [{-1: 1.0, 1: 1.0}, {-1: 1.0, 1: 4.0}, {-1: 4.0, 1: 1.0}])
+def test_line_walk_matches_per_step_reference(alphas, monkeypatch):
+    # the symmetric walk starts on the -1|0 block edge; the drifting ones
+    # leave their window to the right or to the left
+    from rwde.walk import _LineWalker
+
+    p = validate_params(1, 1, alphas)
+    walker = _LineWalker(p)
+    seen = _spy_blocks(monkeypatch, walker)
+    for rep in range(3):
+        stream = RngStream(32, (rep,))
+        for steps in (0, 1, 1023, 1024, 1025, 6000):
+            path, _, visited = _reference_line_walk(p, stream, steps)
+            seen.clear()
+            assert walker.final_position(stream, steps) == path[-1]
+            assert sorted(b for b, _ in seen) == sorted(visited)
+            assert walker.positions(stream, steps).tolist() == path
