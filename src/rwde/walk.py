@@ -19,6 +19,7 @@ from .environment import Environment, RngStream, _gamma_rows
 from .errors import DeadEnd, NotAPath, StartOutsideWindow
 from .graphs import WeightedDigraph
 from .model import DirichletParams, derive_params
+from .stats import mean_and_se
 
 _BLOCK = 1024
 _NS_ENV = 1
@@ -368,15 +369,15 @@ def estimate_velocity(p: DirichletParams, steps: int, replicas: int,
             values.append(x / steps)
         else:
             xs = walker.positions(stream, steps)
-            taus = _regen_indices(xs, buffer)
+            traj = Trajectory(start=0, positions=xs, stop_reason="horizon")
+            taus = regeneration_times(traj, buffer)
             if len(taus) >= 2:
                 dx = float(xs[taus[-1]] - xs[taus[0]])
                 dt = float(taus[-1] - taus[0])
                 values.append(dx / dt)
     if not values:
         return VelocityEstimate(float("nan"), float("nan"), method, steps, replicas, 0)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    mean, se = mean_and_se(values)
     return VelocityEstimate(mean, se, method, steps, replicas, len(values))
 
 
@@ -386,8 +387,9 @@ def estimate_mean_hitting(p: DirichletParams, horizon: int, replicas: int,
     [1, inf), reporting the fraction of replicas censored by the horizon
     instead of imputing them (a growing censored fraction is the signature of
     an infinite expectation)."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if horizon < 1 or replicas < 1:
+        raise ValueError(f"need horizon >= 1 and replicas >= 1, "
+                         f"got horizon={horizon}, replicas={replicas}")
     dp = derive_params(p)
     if dp.kappa1 <= 0:
         warnings.warn("mean hitting time of [1, inf) is intended for kappa1 > 0")
@@ -401,18 +403,8 @@ def estimate_mean_hitting(p: DirichletParams, horizon: int, replicas: int,
             censored += 1
         else:
             hits.append(t)
-    if hits:
-        mean = float(np.mean(hits))
-        se = float(np.std(hits, ddof=1) / math.sqrt(len(hits))) if len(hits) > 1 else 0.0
-    else:
-        mean = float("nan")
-        se = float("nan")
+    mean, se = mean_and_se(hits) if hits else (float("nan"), float("nan"))
     return MeanHittingEstimate(mean, se, censored / replicas, horizon, replicas)
-
-
-def _regen_indices(xs: np.ndarray, tail_buffer: int) -> list:
-    traj = Trajectory(start=int(xs[0]), positions=xs, stop_reason="horizon")
-    return regeneration_times(traj, tail_buffer)
 
 
 def _first_rows(level: int) -> int:
@@ -420,13 +412,34 @@ def _first_rows(level: int) -> int:
     return min(max(level, 1), _BLOCK)
 
 
-def _nn_steps(rnd):
-    """The segment runner of final_position and first passage: d
-    nearest-neighbour steps from index i of a window, no bounds check."""
-    def run(tab, lo, i, d):
-        for _ in range(d):
-            i += 1 if rnd() < tab[i] else -1
-        return i
+def _segment_runner(rnd, offs, append=None):
+    """run(tab, lo, i, d): d steps from index i of a window with first site
+    lo, no bounds check, returning the new index.  offs is None for a
+    nearest-neighbour table (the right-step probability per site), else the
+    support, chosen by bisecting the site's thresholds.  With `append` every
+    new position is passed to it."""
+    if offs is None and append is None:
+        def run(tab, lo, i, d):
+            for _ in range(d):
+                i += 1 if rnd() < tab[i] else -1
+            return i
+    elif offs is None:
+        def run(tab, lo, i, d):
+            for _ in range(d):
+                i += 1 if rnd() < tab[i] else -1
+                append(lo + i)
+            return i
+    elif append is None:
+        def run(tab, lo, i, d):
+            for _ in range(d):
+                i += offs[bisect_right(tab[i], rnd())]
+            return i
+    else:
+        def run(tab, lo, i, d):
+            for _ in range(d):
+                i += offs[bisect_right(tab[i], rnd())]
+                append(lo + i)
+            return i
     return run
 
 
@@ -437,14 +450,19 @@ class _LineWalker:
     stream (seed, rep, ENV, b), so the realized rows never depend on the
     order of first visits.  Exactly the blocks the walk visits are sampled.
 
-    Nearest-neighbour walks run in segments (`_nn_walk`): a window `tab` of
-    up to two adjacent sampled blocks with first site `lo` holds the walk at
-    index i = x - lo, and the next d = min(i, len(tab) - 1 - i) + 1 steps
-    (at most the steps left) read only indices inside the window, so they
-    run without a bounds check.  Leaving the window samples the block entered
-    if it is new and joins it to the block left.  A first passage to `level`
-    also caps d at level - x (at 1 before the first step), so it can hit
-    only on a segment's last step.  General supports keep a checked step.
+    Every walk runs in segments (`_walk`): a window `tab` of one or two
+    adjacent sampled blocks with first site `lo` holds the walk at index
+    i = x - lo.  With jumps in [-L, R] the next
+    d = min(i // L, (len(tab) - 1 - i) // R) + 1 steps (at most the steps
+    left) read only rows inside the window, so they run without a bounds
+    check.  Leaving the window samples the block entered if it is new and
+    joins it to its neighbour on the side the walk came from; if a jump
+    longer than a block skipped that neighbour, the window is the entered
+    block alone.  A first passage to `level` also caps d at
+    (level - x - 1) // R + 1 (at 1 before the first step), so it can hit
+    only on a segment's last step.  A general site picks its offset by
+    bisecting its thresholds, which gives the same offset as a linear scan,
+    ties included.
 
     First passage reads the row at 0 and then only rows below `level`, so
     block 0 is drawn as its first min(max(level, 1), 1024) rows: the same
@@ -484,31 +502,18 @@ class _LineWalker:
         flat = iter(g[:, :-1].ravel().tolist())
         return list(zip(*[flat] * (g.shape[1] - 1)))  # regroup by site
 
-    def _block_at(self, stream: RngStream, blocks: dict, x: int) -> tuple:
-        """The general block holding site x, sampled on first use, and its
-        first site."""
-        b = x >> 10
-        blk = blocks.get(b)
-        if blk is None:
-            blk = blocks[b] = self._gen_block(stream, b)
-        return blk, b << 10
+    # -- walks -----------------------------------------------------------------
 
-    # -- kernels ---------------------------------------------------------------
-    #
-    # The general loops keep the current block `blk` and its first site `lo`,
-    # and look a block up only when x leaves [lo, lo + 1024), i.e. when
-    # (x - lo) >> 10 is nonzero.  lo starts at 1024 so that the first step
-    # looks up block 0.  They bisect the site's threshold table, which picks
-    # the same offset as a linear scan, ties included.
-
-    def _nn_walk(self, stream: RngStream, steps: int, level, run) -> tuple:
-        """Drive a nearest-neighbour walk of at most `steps` steps from 0 in
-        segments; run(tab, lo, i, d) takes d steps from index i of the window
-        and returns the new index.  With a `level` the walk stops on reaching
+    def _walk(self, stream: RngStream, steps: int, level, run) -> tuple:
+        """Drive a walk of at most `steps` steps from 0 in segments;
+        run(tab, lo, i, d) takes d steps from index i of the window and
+        returns the new index.  With a `level` the walk stops on reaching
         it.  Returns (final position, steps taken)."""
         if steps < 1:
             return 0, 0
-        blocks = {0: self._nn_block(stream, 0, _BLOCK if level is None else _first_rows(level))}
+        block = self._nn_block if self.nn else self._gen_block
+        L, R = self.p.L, self.p.R
+        blocks = {0: block(stream, 0, _BLOCK if level is None else _first_rows(level))}
         tab, lo = blocks[0], 0
         x = n = 0
         while n < steps:
@@ -516,79 +521,36 @@ class _LineWalker:
             if not 0 <= i < len(tab):
                 b = x >> 10
                 if b not in blocks:
-                    blocks[b] = self._nn_block(stream, b)
-                first = b if i < 0 else b - 1  # the window: block entered and block left
-                tab, lo = blocks[first] + blocks[first + 1], first << 10
+                    blocks[b] = block(stream, b)
+                first = b if i < 0 else b - 1  # the block entered and its neighbour
+                if first in blocks and first + 1 in blocks:
+                    tab, lo = blocks[first] + blocks[first + 1], first << 10
+                else:  # a jump skipped the neighbour
+                    tab, lo = blocks[b], b << 10
                 i = x - lo
-            d = min(i, len(tab) - 1 - i) + 1
+            d = min(i // L, (len(tab) - 1 - i) // R) + 1
             if d > steps - n:
                 d = steps - n
-            if level is not None and d > level - x:
-                d = max(level - x, 1)
+            if level is not None:
+                d = min(d, max((level - x - 1) // R + 1, 1))
             x = lo + run(tab, lo, i, d)
             n += d
             if level is not None and x >= level:
                 break
         return x, n
 
-    def final_position(self, stream: RngStream, steps: int) -> int:
+    def _runner(self, stream: RngStream, append=None):
         rnd = stream.substream(_NS_WALK).python_random().random
-        if self.nn:
-            return self._nn_walk(stream, steps, None, _nn_steps(rnd))[0]
-        blocks = {}
-        blk, lo = None, _BLOCK
-        x = 0
-        offs = self.support
-        for _ in range(steps):
-            i = x - lo
-            if i >> 10:
-                blk, lo = self._block_at(stream, blocks, x)
-                i = x - lo
-            x += offs[bisect_right(blk[i], rnd())]
-        return x
+        return _segment_runner(rnd, None if self.nn else self.support, append)
+
+    def final_position(self, stream: RngStream, steps: int) -> int:
+        return self._walk(stream, steps, None, self._runner(stream))[0]
 
     def positions(self, stream: RngStream, steps: int) -> np.ndarray:
-        rnd = stream.substream(_NS_WALK).python_random().random
         out = [0]
-        append = out.append
-        if self.nn:
-            def run(tab, lo, i, d):
-                for _ in range(d):
-                    i += 1 if rnd() < tab[i] else -1
-                    append(lo + i)
-                return i
-            self._nn_walk(stream, steps, None, run)
-        else:
-            blocks = {}
-            blk, lo = None, _BLOCK
-            x = 0
-            offs = self.support
-            for _ in range(steps):
-                i = x - lo
-                if i >> 10:
-                    blk, lo = self._block_at(stream, blocks, x)
-                    i = x - lo
-                x += offs[bisect_right(blk[i], rnd())]
-                append(x)
+        self._walk(stream, steps, None, self._runner(stream, out.append))
         return np.fromiter(out, np.int64, len(out))  # np.array(out) would scan for a dtype
 
     def first_time_at_or_above(self, stream: RngStream, level: int, horizon: int):
-        rnd = stream.substream(_NS_WALK).python_random().random
-        if self.nn:
-            x, n = self._nn_walk(stream, horizon, level, _nn_steps(rnd))
-            return n if n and x >= level else None
-        if horizon < 1:
-            return None
-        blocks = {0: self._gen_block(stream, 0, _first_rows(level))}
-        blk, lo = None, _BLOCK
-        x = 0
-        offs = self.support
-        for n in range(1, horizon + 1):
-            i = x - lo
-            if i >> 10:
-                blk, lo = self._block_at(stream, blocks, x)
-                i = x - lo
-            x += offs[bisect_right(blk[i], rnd())]
-            if x >= level:
-                return n
-        return None
+        x, n = self._walk(stream, horizon, level, self._runner(stream))
+        return n if n and x >= level else None

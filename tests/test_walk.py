@@ -280,6 +280,8 @@ def test_line_estimates_reject_empty_samples():
     with pytest.raises(ValueError):
         estimate_mean_hitting(p, horizon=100, replicas=0, seed=1)
     with pytest.raises(ValueError):
+        estimate_mean_hitting(p, horizon=-5, replicas=3)
+    with pytest.raises(ValueError):
         simulate_line(p, -1, RngStream(1))
     assert simulate_line(p, 0, RngStream(1)).tolist() == [0]
 
@@ -474,7 +476,17 @@ _REFERENCE_SUPPORTS = {
     # whole rows underflow at these weights, so short first blocks fall back
     "tiny": (1, 1, {-1: 1e-3, 1: 2e-3}),
     "tiny_general": (2, 1, {-2: 2e-3, -1: 1e-3, 1: 2e-3}),
+    # jumps longer than a block, which can skip the block next to the one
+    # they land in
+    "wide_left": (1100, 1, {-1100: 1.0, 1: 1.0}),
+    "wide_right": (1, 1500, {-1: 1.0, 1500: 0.01}),
 }
+
+
+def _horizon(alphas, steps):
+    """`steps`, but at most 1100 where a left jump passes a whole block: such
+    a walk samples a new block about every other step."""
+    return min(steps, 1100) if min(alphas) < -1024 else steps
 
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_SUPPORTS))
@@ -494,12 +506,13 @@ def test_first_passage_matches_per_step_reference(name, monkeypatch):
     p = validate_params(*_REFERENCE_SUPPORTS[name])
     walker = walk_mod._LineWalker(p)
     seen = _spy_blocks(monkeypatch, walker)
+    horizon = _horizon(p.alphas, 8000)
     for rep in range(3):
         stream = RngStream(31, (rep,))
         for level in (-3, 0, 1, 2, 5, 1023, 1024, 1025, 3000):
             seen.clear()
-            _, expected, visited = _reference_line_walk(p, stream, 8000, level)
-            assert walker.first_time_at_or_above(stream, level, 8000) == expected
+            _, expected, visited = _reference_line_walk(p, stream, horizon, level)
+            assert walker.first_time_at_or_above(stream, level, horizon) == expected
             # exactly the visited blocks, block 0 drawn only up to the level
             assert sorted(b for b, _ in seen) == sorted(visited)
             assert dict(seen).get(0) == min(max(level, 1), 1024)
@@ -509,18 +522,21 @@ def test_first_passage_matches_per_step_reference(name, monkeypatch):
         assert all(prefix_results)
 
 
-@pytest.mark.parametrize("alphas", [{-1: 1.0, 1: 1.0}, {-1: 1.0, 1: 4.0}, {-1: 4.0, 1: 1.0}])
+@pytest.mark.parametrize("alphas", [{-1: 1.0, 1: 1.0}, {-1: 1.0, 1: 4.0}, {-1: 4.0, 1: 1.0}] + [
+    pytest.param(alphas, id=name)
+    for name, (_, _, alphas) in sorted(_REFERENCE_SUPPORTS.items()) if name != "nn"  # nn is alphas1
+])
 def test_line_walk_matches_per_step_reference(alphas, monkeypatch):
     # the symmetric walk starts on the -1|0 block edge; the drifting ones
     # leave their window to the right or to the left
     from rwde.walk import _LineWalker
 
-    p = validate_params(1, 1, alphas)
+    p = validate_params(-min(alphas), max(alphas), alphas)
     walker = _LineWalker(p)
     seen = _spy_blocks(monkeypatch, walker)
     for rep in range(3):
         stream = RngStream(32, (rep,))
-        for steps in (0, 1, 1023, 1024, 1025, 6000):
+        for steps in (0, 1, 1023, 1024, 1025, _horizon(alphas, 6000)):
             path, _, visited = _reference_line_walk(p, stream, steps)
             seen.clear()
             assert walker.final_position(stream, steps) == path[-1]
