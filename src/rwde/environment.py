@@ -205,44 +205,98 @@ def sample_environment(g: WeightedDigraph, rng) -> Environment:
 
 
 def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
-    """n independent environments, sampled per vertex in one batch.
-
-    Vertices are processed in sorted order from a single generator, so the
-    output is a pure function of (stream, n).  For n == 1 one gamma call
-    draws every row that is not a lone self-loop and each row is divided by
-    its own ``sum()``: the variates and floats of the per-vertex calls, so
-    the same environment.  If a row underflows to zeros, the generator is
-    rewound and the per-vertex path, which redraws and counts such rows,
-    runs instead.
+    """n independent environments from a single generator, so the output is
+    a pure function of (stream, n): for n > 1 vertex by vertex in sorted
+    order (_sample_runs), and for n == 1 as the one-stream case of
+    _sample_streams.
     """
-    gen = _as_generator(rng)
+    if n == 1:
+        return [Environment(g, _probs=_sample_streams(g, [rng])[0])]
+    return [Environment(g, _probs=row) for row in _sample_runs(g, _as_generator(rng), n)]
+
+
+def _drawn_layout(g: WeightedDigraph):
     lay = g._layout()
     groups = lay.row_groups
     if groups and groups[0][1].shape[1] == 0:
         raise IsolatedVertex(f"vertex {g.vertices[groups[0][0][0]]!r} has no outgoing edges")
-    if n == 1:
-        state = gen.bit_generator.state
-        probs = np.ones(lay.weights.size)
-        # the variates of gamma(a) (scale 1) at half its call overhead
-        probs[lay.drawn] = gen.standard_gamma(lay.weights[lay.drawn])
-        for _, flat in groups:
-            rows = probs[flat]
-            sums = rows.sum(axis=1, keepdims=True)
-            if not sums.all():
-                gen.bit_generator.state = state
-                break
-            probs[flat] = rows / sums
-        else:
-            probs[probs == 0.0] = _MIN_POSITIVE
-            return [Environment(g, _probs=probs)]
-    blocks = []
+    return lay
+
+
+# Rows per gamma call in _sample_runs: a beta-law window of 40 environments
+# is one call, and 2000 environments on 512 sites draw 1 MB of variates at a
+# time.
+_RUN_ROWS = 1 << 16
+
+
+def _sample_runs(g: WeightedDigraph, gen: Generator, n: int) -> np.ndarray:
+    """The (n, edges) probabilities of n environments drawn vertex by vertex:
+    vertex x's n rows come from ``_gamma_rows`` after those of the vertices
+    before it.  A run of consecutive vertices with equal weight rows is drawn
+    in calls of up to _RUN_ROWS rows, which give the same variates and floats
+    as one call per vertex; if a row of a call underflows to zeros, the
+    generator is rewound and the call's vertices are drawn one by one, which
+    redraws and counts such rows where the per-vertex calls would."""
+    lay = _drawn_layout(g)
+    out = np.ones((n, lay.weights.size))
+    ptr, weights = lay.indptr.tolist(), lay.weights.tolist()
+    runs, prev = [], None
     for i, (x, heads) in enumerate(lay.heads.items()):
-        if heads == (x,):
-            blocks.append(np.ones((n, 1)))
+        row = None if heads == (x,) else weights[ptr[i]:ptr[i + 1]]  # lone self-loops stay 1
+        if row is not None and row == prev:
+            runs[-1][1] = i + 1
+        elif row is not None:
+            runs.append([i, i + 1])
+        prev = row
+    step = max(1, _RUN_ROWS // max(n, 1))
+    for lo, hi in runs:
+        a = lay.weights[ptr[lo]:ptr[lo + 1]]
+        for v in range(lo, hi, step):
+            m = min(step, hi - v)
+            state = gen.bit_generator.state
+            rows = _gamma_rows(gen, a, m * n, redraw=False)
+            if rows is None:
+                gen.bit_generator.state = state
+                rows = np.concatenate([_gamma_rows(gen, a, n) for _ in range(m)])
+            out[:, ptr[v]:ptr[v + m]] = rows.reshape(m, n, a.size).transpose(1, 0, 2).reshape(n, m * a.size)
+    return out
+
+
+def _sample_streams(g: WeightedDigraph, rngs) -> np.ndarray:
+    """The (len(rngs), edges) probabilities of one environment per stream,
+    each the environment ``sample_environments(g, rng, 1)`` draws.
+
+    A stream draws every row that is not a lone self-loop in one gamma call
+    over the joined shape vectors (the variates of the per-vertex calls), and
+    each row is divided by its own sum.  A stream with a row that underflows
+    to zeros is rewound and drawn by _sample_runs instead, which redraws and
+    counts such rows.
+    """
+    lay = _drawn_layout(g)
+    gens = [_as_generator(r) for r in rngs]
+    # a Generator passed in is rewound through its state, a stream re-seeded
+    states = {i: gen.bit_generator.state for i, gen in enumerate(gens) if gen is rngs[i]}
+    a = lay.weights[lay.drawn]
+    out = np.ones((len(gens), lay.weights.size))
+    for i, gen in enumerate(gens):
+        out[i, lay.drawn] = gen.standard_gamma(a)
+    bad = np.zeros(len(gens), dtype=bool)
+    for _, flat in lay.row_groups:
+        rows = np.take(out, flat, axis=1)
+        sums = rows.sum(axis=2, keepdims=True)  # as each row's own sum() adds
+        zero = sums == 0.0
+        bad |= zero.any(axis=(1, 2))
+        sums[zero] = 1.0
+        out[:, flat] = rows / sums
+    for i in np.flatnonzero(bad).tolist():
+        gen = gens[i]
+        if i in states:
+            gen.bit_generator.state = states[i]
         else:
-            blocks.append(_gamma_rows(gen, lay.weights[lay.indptr[i]:lay.indptr[i + 1]], n))
-    flat = np.concatenate(blocks, axis=1) if blocks else np.empty((n, 0))
-    return [Environment(g, _probs=row) for row in flat]
+            gen = rngs[i].generator()
+        out[i] = _sample_runs(g, gen, 1)[0]
+    out[out == 0.0] = _MIN_POSITIVE
+    return out
 
 
 def amalgamate(v, partition) -> np.ndarray:

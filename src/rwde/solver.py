@@ -62,12 +62,28 @@ def hitting_probability(problem: HittingProblem) -> dict:
     env = problem.env
     out = dict.fromkeys(problem.target, 1.0)
     out.update(dict.fromkeys(problem.taboo, 0.0))
-    g = env.graph
+    h = _hitting_rows(env.graph, problem.target, problem.taboo, env.probs[None])
+    out.update(zip(env.vertices, h[0].tolist()))
+    return out
+
+
+# Unknowns times environments per batch in _hitting_rows: 40 half-lines of
+# 512 sites are one batch, and 2000 are solved 64 at a time, in about 5 MB.
+_SOLVE_ENTRIES = 1 << 15
+
+
+def _hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.ndarray:
+    """hitting_probability for k environments on g, given as the rows of a
+    (k, edges) matrix: a (k, vertices) matrix with 1 on the target and 0 on
+    the taboo.  The masks, the reachability check and the system's structure
+    are set up once; each row is then filled, solved, checked and clamped as
+    a solve of its own."""
     lay = g._layout()
     # 0: unknown, 1: target, 2: taboo
     kind = np.zeros(len(g.vertices), dtype=np.int8)
-    for k, part in ((1, problem.target), (2, problem.taboo)):
+    for k, part in ((1, target), (2, taboo)):
         kind[[lay.index[v] for v in part if v in lay.index]] = k
+    out = np.repeat((kind == 1).astype(float)[None], len(probs), axis=0)
     unknown = np.flatnonzero(kind == 0)
     if not unknown.size:
         return out
@@ -80,21 +96,29 @@ def hitting_probability(problem: HittingProblem) -> dict:
             raise UnreachableBoundary(f"no path to target/taboo from {missing[:5]!r}")
     where = np.full(len(g.vertices), -1)
     where[unknown] = np.arange(n)
-    probs = env.probs
     live = kind[lay.tails] == 0
     head_kind = kind[lay.cols]
-    to_target = live & (head_kind == 1)
+    to_target = np.flatnonzero(live & (head_kind == 1))
     inner = live & (head_kind == 0)
     loop = inner & (lay.tails == lay.cols)
-    off = inner & ~loop
-    # b accumulates each row's target probabilities left to right
-    b = np.bincount(where[lay.tails[to_target]], weights=probs[to_target], minlength=n)
-    diag = np.ones(n)
-    diag[where[lay.tails[loop]]] = 1.0 - probs[loop]
-    verts = list(map(g.vertices.__getitem__, unknown.tolist()))
-    x = _solve_structured(verts, diag, where[lay.tails[off]], where[lay.cols[off]], -probs[off], b)
-    # adding 0.0 turns a clamped -0.0 into 0.0
-    out.update(zip(verts, (np.clip(x, 0.0, 1.0) + 0.0).tolist()))
+    off = np.flatnonzero(inner & ~loop)
+    loop = np.flatnonzero(loop)
+    system = _System(list(map(g.vertices.__getitem__, unknown.tolist())),
+                     where[lay.tails[off]], where[lay.cols[off]])
+    b_rows = where[lay.tails[to_target]]
+    diag_rows = where[lay.tails[loop]]
+    step = max(1, _SOLVE_ENTRIES // n)
+    for lo in range(0, len(probs), step):
+        chunk = probs[lo:lo + step]
+        k = len(chunk)
+        # b accumulates each row's target probabilities left to right
+        b = np.bincount((np.arange(k)[:, None] * n + b_rows).ravel(),
+                        weights=chunk[:, to_target].ravel(), minlength=k * n).reshape(k, n)
+        diag = np.ones((k, n))
+        diag[:, diag_rows] = 1.0 - chunk[:, loop]
+        x = system.solve(diag, -chunk[:, off], b)
+        # adding 0.0 turns a clamped -0.0 into 0.0
+        out[lo:lo + k, unknown] = np.clip(x, 0.0, 1.0) + 0.0
     return out
 
 
@@ -137,22 +161,30 @@ def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBr
     certain return to 0.  For nearest-neighbor jumps the band is the single
     vertex W and the two bounds coincide.
     """
+    lower, upper = _escape_brackets(p, env.graph, env.probs[None])
+    return EscapeBracket(lower=float(lower[0]), upper=float(upper[0]), window=max(env.vertices))
+
+
+def _escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tuple:
+    """escape_probability_bracket for k environments on g, given as the rows
+    of a (k, edges) matrix: the arrays of lower and upper bounds."""
     dp = derive_params(p)
     if dp.kappa1_is_zero or dp.kappa1 < 0.0:
         raise ValueError(f"escape bracket needs kappa1 > 0, got {dp.kappa1}")
-    W = max(env.vertices)
-    if env.vertices != tuple(range(W + 1)):
+    W = max(g.vertices)
+    if g.vertices != tuple(range(W + 1)):
         raise ValueError("environment must live on a half-line truncation [0, W]")
     band = frozenset(range(W - p.L + 1, W + 1))
-    h_up = hitting_probability(HittingProblem(env, target=band, taboo=frozenset([0])))
-    h_lo = hitting_probability(
-        HittingProblem(env, target=frozenset([W]), taboo=frozenset([0]) | (band - {W}))
-    )
-    lay = env.graph._layout()
-    heads, probs = lay.heads[0], env.probs[:lay.indptr[1]]  # vertex 0 is row 0
-    upper = sum(q * h_up[h] for h, q in zip(heads, probs))
-    lower = sum(q * h_lo[h] for h, q in zip(heads, probs))
-    return EscapeBracket(lower=float(lower), upper=float(upper), window=W)
+    h_up = _hitting_rows(g, band, frozenset([0]), probs)
+    # with L = 1 the band is {W} and the lower problem is the upper one
+    h_lo = h_up if p.L == 1 else _hitting_rows(g, frozenset([W]), frozenset([0]) | (band - {W}), probs)
+    lay = g._layout()
+    upper = lower = 0.0
+    for j, h in enumerate(lay.cols[:lay.indptr[1]].tolist()):  # vertex 0 is row 0
+        # each row's sum over vertex 0's heads, left to right
+        upper = upper + probs[:, j] * h_up[:, h]
+        lower = lower + probs[:, j] * h_lo[:, h]
+    return lower, upper
 
 
 def invariant_measure(env: Environment) -> dict:
@@ -182,45 +214,68 @@ def redirect_to(env: Environment, x, y) -> Environment:
 # --- linear algebra ----------------------------------------------------------
 
 
-def _solve_structured(unknown, diag, rows, cols, vals, b):
-    """Solve the unit-diagonal system diag + (rows, cols, vals) = b, the
-    off-diagonal entries listed row by row; banded when the unknowns are
-    consecutive integers with small bandwidth."""
-    n = len(unknown)
-    bw = int(np.abs(cols - rows).max(initial=0))
-    if (
-        n > 50
-        and bw < n // 4
-        and all(isinstance(v, int) for v in unknown)
-        and unknown == list(range(unknown[0], unknown[0] + n))
-    ):
-        ab = np.zeros((2 * bw + 1, n))
-        ab[bw] = diag
-        ab[bw + rows - cols, cols] = vals
-        # the residual sums each row left to right, diagonal first
-        r_all = np.concatenate((np.arange(n), rows))
-        order = np.argsort(r_all, kind="stable")
-        r_all, c_all = r_all[order], np.concatenate((np.arange(n), cols))[order]
-        v_all = np.concatenate((diag, vals))[order]
+class _System:
+    """A unit-diagonal system over the vertices ``unknown``: a diagonal plus
+    off-diagonal entries at (rows, cols), listed row by row.  It is banded
+    when the unknowns are consecutive integers with small bandwidth, and
+    dense otherwise."""
 
-        def residual(x):
-            return b - np.bincount(r_all, weights=v_all * x[c_all], minlength=n)
+    def __init__(self, unknown: list, rows: np.ndarray, cols: np.ndarray):
+        n = len(unknown)
+        self.n, self.rows, self.cols = n, rows, cols
+        self.bw = bw = int(np.abs(cols - rows).max(initial=0))
+        self.banded = (
+            n > 50
+            and bw < n // 4
+            and all(isinstance(v, int) for v in unknown)
+            and unknown == list(range(unknown[0], unknown[0] + n))
+        )
+        if self.banded:
+            # the residual sums each row left to right, diagonal first
+            r_all = np.concatenate((np.arange(n), rows))
+            self.order = np.argsort(r_all, kind="stable")
+            self.r_all = r_all[self.order]
+            self.c_all = np.concatenate((np.arange(n), cols))[self.order]
 
-        try:
-            x = scipy.linalg.solve_banded((bw, bw), ab, b)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystem(str(exc)) from exc
-        r = residual(x)
-        if float(np.max(np.abs(r))) > RESIDUAL_TOL:  # refinement cannot mend a nan
-            x = x + scipy.linalg.solve_banded((bw, bw), ab, r)
-            r = residual(x)
-        resid = float(np.max(np.abs(r)))
-        if not resid <= RESIDUAL_TOL:  # a NaN residual fails too
-            raise SingularSystem(f"banded solve residual {resid:.3e}")
+    def solve(self, diag: np.ndarray, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solutions of the k systems given by the rows of diag (k, n), vals
+        (k, entries) and b (k, n), one solve each."""
+        if not self.banded:
+            M = np.zeros((len(b), self.n, self.n))
+            M[:, np.arange(self.n), np.arange(self.n)] = diag
+            M[:, self.rows, self.cols] = vals
+            return np.array([_dense_solve(Mi, bi) for Mi, bi in zip(M, b)]).reshape(b.shape)
+        n, bw, k = self.n, self.bw, len(b)
+        ab = np.zeros((k, 2 * bw + 1, n))
+        ab[:, bw] = diag
+        ab[:, bw + self.rows - self.cols, self.cols] = vals
+        v_all = np.concatenate((diag, vals), axis=1)[:, self.order]
+        shift = (np.arange(k)[:, None] * n + self.r_all).ravel()
+
+        def residual(x, sel):
+            # one bincount over the rows sel, each summed as a solve of its own
+            m = len(x)
+            return b[sel] - np.bincount(shift[:m * self.r_all.size],
+                                        weights=(v_all[sel] * x[:, self.c_all]).ravel(),
+                                        minlength=m * n).reshape(m, n)
+
+        x = np.array([_banded(bw, ab_i, b_i) for ab_i, b_i in zip(ab, b)]).reshape(k, n)
+        r = residual(x, slice(None))
+        resid = np.abs(r).max(axis=1)
+        for i in np.flatnonzero(resid > RESIDUAL_TOL).tolist():  # refinement cannot mend a nan
+            x[i] = x[i] + _banded(bw, ab[i], r[i])
+            resid[i] = np.abs(residual(x[i:i + 1], slice(i, i + 1))).max()
+        bad = np.flatnonzero(~(resid <= RESIDUAL_TOL))  # a NaN residual fails too
+        if bad.size:
+            raise SingularSystem(f"banded solve residual {resid[bad[0]]:.3e}")
         return x
-    M = np.diag(diag)
-    M[rows, cols] = vals
-    return _dense_solve(M, b)
+
+
+def _banded(bw: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return scipy.linalg.solve_banded((bw, bw), ab, b)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystem(str(exc)) from exc
 
 
 def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:

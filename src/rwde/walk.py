@@ -356,12 +356,17 @@ def estimate_velocity(p: DirichletParams, steps: int, replicas: int,
     if steps < 1 or replicas < 1:
         raise ValueError(f"need steps >= 1 and replicas >= 1, "
                          f"got steps={steps}, replicas={replicas}")
+    buffer = default_tail_buffer(p)
+    if method == "regeneration" and steps < buffer + 2:
+        # regeneration_times declares times in [1, steps - buffer] only, and
+        # a replica's estimate needs two of them
+        raise ValueError(f"regeneration needs steps >= the tail buffer {buffer} "
+                         f"(default_tail_buffer) + 2, got steps={steps}")
     dp = derive_params(p)
     if dp.kappa1_is_zero:
         warnings.warn("kappa1 = 0 (recurrent): velocity estimate will be ~0")
     walker = _LineWalker(p)
     values = []
-    buffer = default_tail_buffer(p)
     for rep in range(replicas):
         stream = RngStream(seed, (rep,))
         if method == "endpoint":

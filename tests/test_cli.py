@@ -252,6 +252,36 @@ def test_verify_reversal_small_weights_is_a_json_error(capsys):
     assert _validated(lines[0])["error"]["code"] == "SingularSystem"
 
 
+def test_verify_small_replica_counts_are_json_errors(capsys):
+    # tournier cross-checked environments 0-2 and raised IndexError with
+    # fewer; reversal's moment test of one draw divided by a NaN variance,
+    # warned, and reported a pass
+    cases = (("tournier", "1", "BadK"), ("tournier", "2", "BadK"), ("reversal", "1", "ValueError"))
+    for suite, replicas, error in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["verify", suite, "--replicas", replicas, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err, caught) == (1, "", []), (suite, replicas)
+        assert _validated(captured.out)["error"]["code"] == error, (suite, replicas)
+    code, out = _run(capsys, "verify", "tournier", "--replicas", "3", "--seed", "1")
+    rep = _validated(out)
+    assert rep["evidence"]["environments"] == 3
+    assert code == (0 if rep["passed"] else 2)
+
+
+def test_regeneration_without_room_for_two_regenerations_is_a_json_error(capsys):
+    # the tail buffer of -1100:1,1:1 is 11,010: no regeneration time can be
+    # declared in 2,000 steps, and v_hat used to be NaN with exit 0
+    rep = _run_error(capsys, "speed", "--alphas=-1100:1,1:1", "--steps", "2000",
+                     "--method", "regeneration")
+    assert "tail buffer 11010" in rep["error"]["message"]
+    # -1:1,1:2 has buffer 20: 21 steps leave one candidate time, 22 two
+    _run_error(capsys, "speed", "--alphas=-1:1,1:2", "--steps", "21", "--method", "regeneration")
+    code, out = _run(capsys, "speed", "--alphas=-1:1,1:2", "--steps", "22", "--method", "regeneration")
+    assert code == 0 and _validated(out)["steps"] == 22
+
+
 def test_exhaustive_search_above_cap_is_a_json_error(capsys):
     rep = _run_error(capsys, "kappa0", "--alphas=-1:1,1:2", "--max-diameter", "40",
                      "--strategy", "exhaustive")

@@ -177,27 +177,22 @@ def test_environment_validation():
         Environment(g, {0: ((1,), np.array([0.5, 0.5])), 1: ((0,), np.array([1.0]))})
 
 
-def _per_vertex_reference(g, stream):
-    """One environment drawn vertex by vertex: a gamma call per row that is
-    not a lone self-loop, all-zero rows redrawn, zeros clamped.  Returns the
-    flat probabilities and the number of redraws."""
-    gen = stream.generator()
-    flat, redraws = [], 0
+def _per_vertex_reference(g, gen, n=1):
+    """n environments drawn vertex by vertex: all n rows of a vertex from one
+    plain gamma call (all-zero rows redrawn, zeros clamped) before the next
+    vertex's rows; lone self-loops are 1.  Returns the (n, edges)
+    probabilities and the number of redraws."""
+    blocks, redraws = [], 0
     for x in g.vertices:
         row = g.out_edges(x)
         heads = sorted(row)
         if heads == [x]:
-            flat.append(1.0)
+            blocks.append(np.ones((n, 1)))
             continue
-        a = np.array([row[h] for h in heads])
-        draw = gen.gamma(a, size=(1, a.size))
-        while not (draw > 0.0).any():
-            redraws += 1
-            draw = gen.gamma(a, size=(1, a.size))
-        probs = draw / draw.sum(axis=1, keepdims=True)
-        probs[probs == 0.0] = 5e-324
-        flat.extend(probs[0].tolist())
-    return np.array(flat), redraws
+        rows, r = plain_gamma_rows(gen, np.array([row[h] for h in heads]), n)
+        blocks.append(rows)
+        redraws += r
+    return np.concatenate(blocks, axis=1), redraws
 
 
 @st.composite
@@ -219,7 +214,7 @@ def test_single_environment_matches_per_vertex_reference(g, seed):
     # by length; it must give the per-vertex floats byte for byte, sums of 8
     # or more entries included, and fall back (counting redraws) on underflow
     stream = RngStream(seed, (3,))
-    expected, redraws = _per_vertex_reference(g, stream)
+    expected, redraws = _per_vertex_reference(g, stream.generator())
     before = resample_count()
     got = sample_environments(g, stream, 1)[0].probs
     assert resample_count() - before == redraws
@@ -231,7 +226,7 @@ def test_single_environment_fallback_counts_redraws():
     g = WeightedDigraph([(0, 1, 1e-3), (0, 2, 1e-3), (1, 0, 1.0), (2, 0, 1e-3), (2, 1, 1e-3)])
     total = 0
     for seed in range(20):
-        expected, redraws = _per_vertex_reference(g, RngStream(seed))
+        expected, redraws = _per_vertex_reference(g, RngStream(seed).generator())
         before = resample_count()
         assert sample_environment(g, RngStream(seed)).probs.tobytes() == expected.tobytes()
         assert resample_count() - before == redraws
@@ -266,3 +261,47 @@ def test_gamma_rows_match_plain_sampler(con, n, m, seed):
         assert prefix is None
     else:
         assert prefix.tobytes() == longer[:m].tobytes()
+
+
+@st.composite
+def _run_graphs(draw):
+    """A ring of up to 30 vertices whose rows come in runs of equal weight
+    rows (lone self-loops included), from a palette of up to three rows with
+    concentrations from 1e-3, where whole rows underflow, to 5."""
+    size = draw(st.integers(2, 30))
+    palette = []
+    for _ in range(draw(st.integers(1, 3))):
+        offsets = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 9),
+                                unique=True))
+        palette.append([(d, draw(st.one_of(st.sampled_from([1e-3, 2e-3]), st.floats(1e-3, 5.0))))
+                        for d in offsets])
+    edges, x = [], 0
+    while x < size:
+        row = draw(st.sampled_from(palette))
+        for _ in range(draw(st.integers(1, size))):
+            if x == size:
+                break
+            edges += [(x, (x + d) % size, w) for d, w in row]
+            x += 1
+    return WeightedDigraph(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_graphs(), st.integers(2, 40), st.integers(1, 200), st.integers(0, 2**32))
+def test_run_batched_environments_match_per_vertex_reference(g, n, run_rows, seed):
+    # runs of equal rows are drawn in calls of up to run_rows rows; the
+    # result, the redraw count and the generator state after the call must
+    # be those of one gamma call per vertex
+    from unittest import mock
+
+    from rwde import environment
+
+    stream = RngStream(seed, (4,))
+    ref_gen, gen = stream.generator(), stream.generator()
+    expected, redraws = _per_vertex_reference(g, ref_gen, n)
+    before = resample_count()
+    with mock.patch.object(environment, "_RUN_ROWS", run_rows):
+        got = np.array([env.probs for env in sample_environments(g, gen, n)])
+    assert resample_count() - before == redraws
+    assert got.tobytes() == expected.tobytes()
+    assert gen.random() == ref_gen.random()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwde import cli, verify
-from rwde.environment import Environment, RngStream, sample_environment
+from rwde.environment import Environment, RngStream, sample_environment, sample_environments
 from rwde.errors import NoExit, NotStronglyConnected, SingularSystem, UnreachableBoundary
 from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from rwde.model import parse_alphas, validate_params
@@ -347,6 +347,40 @@ def test_wide_support_reversal_golden():
     assert digest == GOLDEN["closure_wide"]["time_reverse_dump_sha256"]
 
 
+def test_wide_support_beta_law_golden():
+    # recorded before the beta-law suite drew its environments by runs of
+    # equal rows and solved its brackets in one batch: with L >= 2 the band
+    # has several vertices and the two bounds differ
+    for text, pinned in GOLDEN["beta_law_wide"].items():
+        p, _ = parse_alphas(text)
+        _, ev = verify.run_suite("beta-law", p, seed=5, replicas=10, window=128)
+        assert cli.dumps(ev) == pinned["evidence"], text
+        envs = sample_environments(build_halfline(p, 128), RngStream(5), 10)
+        brs = [(repr(b.lower), repr(b.upper))
+               for b in (escape_probability_bracket(p, env) for env in envs)]
+        assert hashlib.sha256(repr(brs).encode()).hexdigest() == pinned["brackets_sha256"], text
+
+
+def test_beta_law_brackets_the_environments_of_sample_environments():
+    # the suite draws and brackets in batches; its evidence must be that of
+    # the public one-environment calls, for one replica (a one-stream draw)
+    # and for several (a vertex-by-vertex draw)
+    from rwde import stats
+    from rwde.model import derive_params
+
+    for text in ("-1:1,1:2", "-2:1,-1:0.5,1:1,2:1"):
+        p, _ = parse_alphas(text)
+        dp = derive_params(p)
+        for replicas in (1, 3):
+            envs = sample_environments(build_halfline(p, 64), RngStream(4), replicas)
+            brs = [escape_probability_bracket(p, env) for env in envs]
+            report = stats.ks_test(np.array([b.midpoint for b in brs]),
+                                   stats.beta_cdf(dp.kappa1, dp.d_minus))
+            _, ev = verify.beta_law(p, replicas=replicas, window=64, seed=4)
+            assert ev["ks_statistic"] == report.statistic, (text, replicas)
+            assert ev["mean_bracket_width"] == float(np.mean([b.width for b in brs]))
+
+
 def test_cycle_draw_matches_randrange():
     # the reversal suite draws its cycles through getrandbits tables; each
     # draw must be the one Random.randrange(n) makes, rejections included
@@ -459,3 +493,84 @@ def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
     else:
         with pytest.raises(NotStronglyConnected):
             invariant_measure(env)
+
+
+def _outcome(fn):
+    """fn's result, or the name of the rwde error it raised."""
+    try:
+        return fn()
+    except (UnreachableBoundary, SingularSystem) as exc:
+        return type(exc).__name__
+
+
+def _per_environment_rows(g, target, taboo, probs):
+    """hitting_probability on each row of probs, as a (rows, vertices) matrix."""
+    hs = [hitting_probability(HittingProblem(Environment(g, _probs=row), target, taboo))
+          for row in probs]
+    return np.array([[h[v] for v in g.vertices] for h in hs])
+
+
+def _assert_batch_matches(g, target, taboo, probs, entries, tol=1e-10):
+    from unittest import mock
+
+    from rwde import solver
+
+    with mock.patch.object(solver, "RESIDUAL_TOL", tol):
+        want = _outcome(lambda: _per_environment_rows(g, target, taboo, probs))
+        with mock.patch.object(solver, "_SOLVE_ENTRIES", entries):
+            got = _outcome(lambda: solver._hitting_rows(g, target, taboo, probs))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_environments(), st.data(), st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32))
+def test_batched_hitting_matches_per_environment_calls_dense(env, data, k, entries, seed):
+    # small graphs take the dense path; the batch is solved a few rows at a
+    # time (entries) and must give the single solves' floats, or raise as
+    # they do
+    g = env.graph
+    verts = list(g.vertices)
+    target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
+    rest = [v for v in verts if v not in target]
+    taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
+    probs = np.array([e.probs for e in sample_environments(g, RngStream(seed), k)])
+    _assert_batch_matches(g, target, taboo, probs, entries)
+
+
+def test_batched_hitting_raises_unreachable_boundary_as_single_solves():
+    g = WeightedDigraph([(0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 0, 1.0)])
+    probs = np.array([e.probs for e in sample_environments(g, RngStream(3), 4)])
+    assert _assert_batch_matches(g, frozenset([1]), frozenset(), probs, 8) == "UnreachableBoundary"
+    assert _assert_batch_matches(g, frozenset([0]), frozenset(), probs, 8) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(51, 160), st.integers(1, 8), st.integers(1, 600))
+def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W, k, entries):
+    # half-lines of more than 50 unknowns take the banded path
+    from rwde import solver
+    from rwde.model import derive_params
+    from conftest import random_params
+
+    p = random_params(random.Random(seed))
+    g = build_halfline(p, W)
+    envs = sample_environments(g, RngStream(seed), k)
+    probs = np.array([e.probs for e in envs])
+    band = frozenset(range(W - p.L + 1, W + 1))
+    for target, taboo in ((band, frozenset([0])), (frozenset([W]), frozenset([0]) | (band - {W})),
+                          (frozenset([0]), frozenset([W]))):
+        _assert_batch_matches(g, target, taboo, probs, entries)
+        # a tolerance near the rounding error sends some rows through the
+        # refinement step, and some of those on to SingularSystem
+        _assert_batch_matches(g, target, taboo, probs, entries, tol=3e-17)
+    if derive_params(p).kappa1 > 0:
+        want = _outcome(lambda: [escape_probability_bracket(p, env) for env in envs])
+        got = _outcome(lambda: solver._escape_brackets(p, g, probs))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [(b.lower, b.upper) for b in want] == list(zip(*(a.tolist() for a in got)))

@@ -277,6 +277,8 @@ def test_line_estimates_reject_empty_samples():
         estimate_velocity(p, steps=0, replicas=3)
     with pytest.raises(ValueError):
         estimate_velocity(p, steps=100, replicas=0, method="regeneration")
+    with pytest.raises(ValueError, match="tail buffer 20"):  # no two regenerations fit
+        estimate_velocity(p, steps=21, replicas=3, method="regeneration")
     with pytest.raises(ValueError):
         estimate_mean_hitting(p, horizon=100, replicas=0, seed=1)
     with pytest.raises(ValueError):
