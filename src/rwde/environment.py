@@ -280,15 +280,16 @@ def _sample_streams(g: WeightedDigraph, rngs) -> np.ndarray:
     out = np.ones((len(gens), lay.weights.size))
     for i, gen in enumerate(gens):
         out[i, lay.drawn] = gen.standard_gamma(a)
-    bad = np.zeros(len(gens), dtype=bool)
+    bad = set()
     for _, flat in lay.row_groups:
-        rows = np.take(out, flat, axis=1)
+        rows = out[:, flat]
         sums = rows.sum(axis=2, keepdims=True)  # as each row's own sum() adds
-        zero = sums == 0.0
-        bad |= zero.any(axis=(1, 2))
-        sums[zero] = 1.0
+        if not sums.all():
+            zero = sums == 0.0
+            bad.update(np.flatnonzero(zero.any(axis=(1, 2))).tolist())
+            sums[zero] = 1.0
         out[:, flat] = rows / sums
-    for i in np.flatnonzero(bad).tolist():
+    for i in sorted(bad):
         gen = gens[i]
         if i in states:
             gen.bit_generator.state = states[i]

@@ -83,7 +83,8 @@ def _hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nd
     kind = np.zeros(len(g.vertices), dtype=np.int8)
     for k, part in ((1, target), (2, taboo)):
         kind[[lay.index[v] for v in part if v in lay.index]] = k
-    out = np.repeat((kind == 1).astype(float)[None], len(probs), axis=0)
+    out = np.zeros((len(probs), len(g.vertices)))
+    out[:, kind == 1] = 1.0
     unknown = np.flatnonzero(kind == 0)
     if not unknown.size:
         return out
@@ -241,10 +242,12 @@ class _System:
         """Solutions of the k systems given by the rows of diag (k, n), vals
         (k, entries) and b (k, n), one solve each."""
         if not self.banded:
-            M = np.zeros((len(b), self.n, self.n))
-            M[:, np.arange(self.n), np.arange(self.n)] = diag
-            M[:, self.rows, self.cols] = vals
-            return np.array([_dense_solve(Mi, bi) for Mi, bi in zip(M, b)]).reshape(b.shape)
+            x = np.empty_like(b)
+            for i in range(len(b)):
+                M = np.diag(diag[i])
+                M[self.rows, self.cols] = vals[i]
+                x[i] = _dense_solve(M, b[i])
+            return x
         n, bw, k = self.n, self.bw, len(b)
         ab = np.zeros((k, 2 * bw + 1, n))
         ab[:, bw] = diag
