@@ -216,6 +216,7 @@ def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
 
 
 def _drawn_layout(g: WeightedDigraph):
+    """g's row layout; IsolatedVertex if a vertex has no out-edge."""
     lay = g._layout()
     groups = lay.row_groups
     if groups and groups[0][1].shape[1] == 0:
