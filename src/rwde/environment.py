@@ -139,7 +139,7 @@ class Environment:
             self._probs = _probs
             return
         checked, flat = {}, []
-        for x, sorted_heads in graph._layout().heads.items():
+        for x, sorted_heads in graph.heads.items():
             heads, probs = rows[x]
             heads, probs = tuple(heads), np.asarray(probs, dtype=float)
             if sorted_heads != tuple(sorted(heads)) or probs.shape != (len(heads),):
@@ -163,16 +163,15 @@ class Environment:
 
     def row(self, x):
         if self._rows is None:
-            lay = self.graph._layout()
-            ptr = lay.indptr.tolist()
+            ptr = self.graph.indptr.tolist()
             self._rows = {
                 v: (heads, self._probs[ptr[i]:ptr[i + 1]])
-                for i, (v, heads) in enumerate(lay.heads.items())
+                for i, (v, heads) in enumerate(self.graph.heads.items())
             }
         return self._rows[x]
 
     def prob(self, x, y) -> float:
-        k = self.graph._layout().pos.get((x, y))
+        k = self.graph.pos.get((x, y))
         return 0.0 if k is None else float(self._probs[k])
 
     def dump(self) -> str:
@@ -188,7 +187,7 @@ class Environment:
 def _check_rows(g: WeightedDigraph, probs: np.ndarray) -> None:
     """ValueError unless each row of the (k, edges) matrix probs sums to 1
     within Environment.ROW_SUM_TOL and has its entries in (0, 1]."""
-    for rows, flat in g._layout().row_groups:
+    for rows, flat in g.row_groups:
         block = np.take(probs, flat, axis=1)
         bad = ((np.abs(block.sum(axis=2) - 1.0) > Environment.ROW_SUM_TOL)
                | ((block <= 0.0) | (block > 1.0)).any(axis=2))
@@ -215,13 +214,11 @@ def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
     return [Environment(g, _probs=row) for row in _sample_runs(g, _as_generator(rng), n)]
 
 
-def _drawn_layout(g: WeightedDigraph):
-    """g's row layout; IsolatedVertex if a vertex has no out-edge."""
-    lay = g._layout()
-    groups = lay.row_groups
+def _check_out_edges(g: WeightedDigraph) -> None:
+    """IsolatedVertex if a vertex of g has no out-edge."""
+    groups = g.row_groups
     if groups and groups[0][1].shape[1] == 0:
         raise IsolatedVertex(f"vertex {g.vertices[groups[0][0][0]]!r} has no outgoing edges")
-    return lay
 
 
 # Rows per gamma call in _sample_runs: a beta-law window of 40 environments
@@ -238,11 +235,11 @@ def _sample_runs(g: WeightedDigraph, gen: Generator, n: int) -> np.ndarray:
     as one call per vertex; if a row of a call underflows to zeros, the
     generator is rewound and the call's vertices are drawn one by one, which
     redraws and counts such rows where the per-vertex calls would."""
-    lay = _drawn_layout(g)
-    out = np.ones((n, lay.weights.size))
-    ptr, weights = lay.indptr.tolist(), lay.weights.tolist()
+    _check_out_edges(g)
+    out = np.ones((n, g.weights.size))
+    ptr, weights = g.indptr.tolist(), g.weights.tolist()
     runs, prev = [], None
-    for i, (x, heads) in enumerate(lay.heads.items()):
+    for i, (x, heads) in enumerate(g.heads.items()):
         row = None if heads == (x,) else weights[ptr[i]:ptr[i + 1]]  # lone self-loops stay 1
         if row is not None and row == prev:
             runs[-1][1] = i + 1
@@ -251,7 +248,7 @@ def _sample_runs(g: WeightedDigraph, gen: Generator, n: int) -> np.ndarray:
         prev = row
     step = max(1, _RUN_ROWS // max(n, 1))
     for lo, hi in runs:
-        a = lay.weights[ptr[lo]:ptr[lo + 1]]
+        a = g.weights[ptr[lo]:ptr[lo + 1]]
         for v in range(lo, hi, step):
             m = min(step, hi - v)
             state = gen.bit_generator.state
@@ -273,16 +270,16 @@ def _sample_streams(g: WeightedDigraph, rngs) -> np.ndarray:
     to zeros is rewound and drawn by _sample_runs instead, which redraws and
     counts such rows.
     """
-    lay = _drawn_layout(g)
+    _check_out_edges(g)
     gens = [_as_generator(r) for r in rngs]
     # a Generator passed in is rewound through its state, a stream re-seeded
     states = {i: gen.bit_generator.state for i, gen in enumerate(gens) if gen is rngs[i]}
-    a = lay.weights[lay.drawn]
-    out = np.ones((len(gens), lay.weights.size))
+    a = g.weights[g.drawn]
+    out = np.ones((len(gens), g.weights.size))
     for i, gen in enumerate(gens):
-        out[i, lay.drawn] = gen.standard_gamma(a)
+        out[i, g.drawn] = gen.standard_gamma(a)
     bad = set()
-    for _, flat in lay.row_groups:
+    for _, flat in g.row_groups:
         rows = out[:, flat]
         sums = rows.sum(axis=2, keepdims=True)  # as each row's own sum() adds
         if not sums.all():

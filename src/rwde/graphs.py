@@ -11,117 +11,39 @@ from .model import DirichletParams, derive_params
 
 
 class WeightedDigraph:
-    """Immutable directed graph with positive edge weights.
+    """Immutable directed graph with positive edge weights, held as flat rows.
 
-    Parallel (tail, head) inputs are amalgamated by summing their weights at
-    construction.
+    Parallel (tail, head) inputs are amalgamated by summing their weights in
+    input order at construction.  The rows lie in one flat order: vertices
+    sorted, and within a vertex its heads sorted, which is the order of
+    ``edges()``.  ``index`` maps a vertex to its position in ``vertices`` and
+    ``pos`` an edge (tail, head) to its flat position.  Row i occupies
+    ``indptr[i]:indptr[i+1]`` of the arrays ``tails`` and ``cols`` (vertex
+    positions of tail and head) and ``weights``.  ``by_head`` lists the flat
+    positions sorted by head, then tail (the order of the reversed graph's
+    edges); the edges into vertex i are ``by_head[head_ptr[i]:head_ptr[i+1]]``.
     """
 
-    __slots__ = ("_vertices", "_out", "_in", "_frozen", "_rev")
+    __slots__ = ("vertices", "index", "pos", "indptr", "tails", "cols", "weights", "by_head",
+                 "head_ptr", "row_groups", "drawn", "_heads", "_strong", "_rev")
 
     def __init__(self, edges, vertices=()):
-        out = {}
-        inc = {}
-        verts = set(vertices)
+        import numpy as np
+
+        acc = {}
         for t, h, w in edges:
             if not w > 0.0:
                 raise ValueError(f"edge ({t}, {h}) has nonpositive weight {w}")
-            verts.add(t)
-            verts.add(h)
-            row = out.setdefault(t, {})
-            row[h] = row.get(h, 0.0) + w
-            col = inc.setdefault(h, {})
-            col[t] = col.get(t, 0.0) + w
-        self._vertices = tuple(sorted(verts))
-        self._out = out
-        self._in = inc
-        self._frozen = None
-        self._rev = None
-
-    @property
-    def vertices(self) -> tuple:
-        return self._vertices
-
-    def out_edges(self, x) -> dict:
-        """head -> weight for edges leaving x (empty dict if none)."""
-        return self._out.get(x, {})
-
-    def in_edges(self, x) -> dict:
-        """tail -> weight for edges entering x."""
-        return self._in.get(x, {})
-
-    def edge_weight(self, t, h) -> float:
-        return self._out.get(t, {}).get(h, 0.0)
-
-    def out_weight(self, x) -> float:
-        return sum(self._out.get(x, {}).values())
-
-    def in_weight(self, x) -> float:
-        return sum(self._in.get(x, {}).values())
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(r) for r in self._out.values())
-
-    def edges(self):
-        for t in self._vertices:
-            for h, w in sorted(self._out.get(t, {}).items()):
-                yield t, h, w
-
-    def reversed(self) -> "WeightedDigraph":
-        """The edge-reversed graph, built on the first call and then shared."""
-        if self._rev is None:
-            self._rev = WeightedDigraph(
-                ((h, t, w) for t, h, w in self.edges()), vertices=self._vertices
-            )
-        return self._rev
-
-    def _layout(self) -> "_RowLayout":
-        if self._frozen is None:
-            self._frozen = _RowLayout(self)
-        return self._frozen
-
-    def dump(self) -> str:
-        """Debug format: one ``tail head weight`` line per edge, sorted."""
-        return "\n".join(f"{t} {h} {w!r}" for t, h, w in self.edges())
-
-
-class _RowLayout:
-    """The rows of a graph in one flat order: vertices sorted, and within a
-    vertex its heads sorted, which is the order of ``edges()``.
-
-    ``index`` maps a vertex to its position in ``vertices``, ``heads`` a
-    vertex to its sorted heads, and ``pos`` an edge (tail, head) to its flat
-    position.  Row i occupies ``indptr[i]:indptr[i+1]`` of the arrays
-    ``tails`` and ``cols`` (vertex positions of tail and head) and
-    ``weights``.  ``by_head`` lists the flat positions sorted by head, then
-    tail (the order of the reversed graph's edges); the edges into vertex i
-    are ``by_head[head_ptr[i]:head_ptr[i+1]]``.
-    """
-
-    __slots__ = ("index", "heads", "pos", "indptr", "tails", "cols", "weights",
-                 "by_head", "head_ptr", "row_groups", "drawn", "_strong")
-
-    def __init__(self, g: WeightedDigraph):
-        import numpy as np
-
-        self.index = {v: i for i, v in enumerate(g.vertices)}
-        self.heads = {}
-        self.pos = {}
-        tails, cols, weights = [], [], []
-        for i, t in enumerate(g.vertices):
-            row = g.out_edges(t)
-            self.heads[t] = heads = tuple(sorted(row))
-            for h in heads:
-                self.pos[t, h] = len(cols)
-                tails.append(i)
-                cols.append(self.index[h])
-                weights.append(row[h])
-        bounds = np.arange(len(g.vertices) + 1)
-        self.tails = np.array(tails, dtype=np.intp)
+            acc[t, h] = acc.get((t, h), 0.0) + w
+        self.vertices = tuple(sorted(set(vertices).union(*acc)))  # with every tail and head
+        self.index = index = {v: i for i, v in enumerate(self.vertices)}
+        keys = sorted(acc)
+        self.pos = dict(zip(keys, range(len(keys))))
+        bounds = np.arange(len(self.vertices) + 1)
+        self.tails = np.array([index[t] for t, _ in keys], dtype=np.intp)
         self.indptr = np.searchsorted(self.tails, bounds)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.weights = np.array(weights, dtype=float)
+        self.cols = np.array([index[h] for _, h in keys], dtype=np.intp)
+        self.weights = np.array([acc[e] for e in keys], dtype=float)
         self.by_head = np.argsort(self.cols, kind="stable")
         self.head_ptr = np.searchsorted(self.cols[self.by_head], bounds)
         deg = np.diff(self.indptr)
@@ -133,7 +55,61 @@ class _RowLayout:
         self.row_groups = [(r, self.indptr[r, None] + np.arange(deg[r[0]])) for r in rows]
         # the entries a Dirichlet sampler draws: all but lone self-loop rows
         self.drawn = np.flatnonzero(~((deg == 1)[self.tails] & (self.tails == self.cols)))
-        self._strong = None
+        self._heads = self._strong = self._rev = None
+
+    def _edges_at(self, flat, ends) -> dict:
+        return dict(zip(map(self.vertices.__getitem__, ends[flat].tolist()),
+                        self.weights[flat].tolist()))
+
+    def out_edges(self, x) -> dict:
+        """head -> weight for edges leaving x, heads sorted (empty if none)."""
+        i = self.index.get(x)
+        return {} if i is None else self._edges_at(slice(*self.indptr[i:i + 2]), self.cols)
+
+    def in_edges(self, x) -> dict:
+        """tail -> weight for edges entering x, tails sorted."""
+        i = self.index.get(x)
+        return {} if i is None else self._edges_at(self.by_head[slice(*self.head_ptr[i:i + 2])],
+                                                   self.tails)
+
+    def edge_weight(self, t, h) -> float:
+        k = self.pos.get((t, h))
+        return 0.0 if k is None else float(self.weights[k])
+
+    def out_weight(self, x) -> float:
+        return sum(self.out_edges(x).values())
+
+    def in_weight(self, x) -> float:
+        return sum(self.in_edges(x).values())
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.pos)
+
+    def edges(self):
+        """(tail, head, weight) in row order."""
+        return ((t, h, w) for (t, h), w in zip(self.pos, self.weights.tolist()))
+
+    def reversed(self) -> "WeightedDigraph":
+        """The edge-reversed graph, built on the first call and then shared."""
+        if self._rev is None:
+            self._rev = WeightedDigraph(
+                ((h, t, w) for t, h, w in self.edges()), vertices=self.vertices
+            )
+        return self._rev
+
+    def dump(self) -> str:
+        """Debug format: one ``tail head weight`` line per edge, sorted."""
+        return "\n".join(f"{t} {h} {w!r}" for t, h, w in self.edges())
+
+    @property
+    def heads(self) -> dict:
+        """vertex -> its sorted heads (built on the first read)."""
+        if self._heads is None:
+            ptr = self.indptr.tolist()
+            cols = list(map(self.vertices.__getitem__, self.cols.tolist()))
+            self._heads = {v: tuple(cols[ptr[i]:ptr[i + 1]]) for i, v in enumerate(self.vertices)}
+        return self._heads
 
     def reach(self, sources, within=None, backward=False) -> list:
         """Flags over vertex positions: reachable from the positions in
@@ -158,7 +134,7 @@ class _RowLayout:
     def strongly_connected(self) -> bool:
         """Every vertex reaches every other (computed on the first call)."""
         if self._strong is None:
-            self._strong = len(self.index) < 2 or (
+            self._strong = len(self.vertices) < 2 or (
                 all(self.reach([0])) and all(self.reach([0], backward=True))
             )
         return self._strong
@@ -204,17 +180,7 @@ def build_drift_closure(p: DirichletParams, M: int) -> WeightedDigraph:
         raise MTooSmall(f"need M > R + L = {p.R + p.L}, got {M}")
     if dp.kappa1_is_zero or dp.kappa1 < 0.0:
         raise NonpositiveKappa1(f"kappa1 = {dp.kappa1}")
-    edges = _clamped_interior(p, 1, M - 1, 0, M)
-    # compensation at the left end: sources at or left of 0 collapse into 0
-    for j in range(1, p.R + 1):
-        w = sum(p.alphas.get(i, 0.0) for i in range(j, p.R + 1))
-        if w > 0.0:
-            edges.append((0, j, w))
-    # compensation at the right end: sources at or right of M collapse into M
-    for j in range(M - p.L, M):
-        w = sum(p.alphas.get(i, 0.0) for i in range(-p.L, j - M + 1))
-        if w > 0.0:
-            edges.append((M, j, w))
+    edges = _clamped_interior(p, 1, M - 1, 0, M) + _compensation(p, 0, 1) + _compensation(p, M, -1)
     edges.append((M, 0, dp.kappa1))
     return WeightedDigraph(edges, vertices=range(M + 1))
 
@@ -232,16 +198,7 @@ def build_balanced_closure(p: DirichletParams, M: int) -> WeightedDigraph:
     if not dp.kappa1_is_zero:
         raise NonzeroKappa1(f"kappa1 = {dp.kappa1}")
     edges = _clamped_interior(p, -M + 1, M - 1, -M, M)
-    for t in range(1, p.R + 1):
-        w = sum(p.alphas.get(i, 0.0) for i in range(t, p.R + 1))
-        if w > 0.0:
-            edges.append((-M, -M + t, w))
-    for j in range(M - p.L, M):
-        w = sum(p.alphas.get(i, 0.0) for i in range(-p.L, j - M + 1))
-        if w > 0.0:
-            edges.append((M, j, w))
-    edges.append((0, -M, 1.0))
-    edges.append((-M, 0, 1.0))
+    edges += _compensation(p, -M, 1) + _compensation(p, M, -1) + [(0, -M, 1.0), (-M, 0, 1.0)]
     return WeightedDigraph(edges, vertices=range(-M, M + 1))
 
 
@@ -256,24 +213,35 @@ def build_halfline(p: DirichletParams, W: int) -> WeightedDigraph:
     """
     if W <= p.R + p.L:
         raise WTooSmall(f"need W > R + L = {p.R + p.L}, got {W}")
-    edges = _clamped_interior(p, 1, W, 0, W)
-    for j in range(1, p.R + 1):
-        w = sum(p.alphas.get(i, 0.0) for i in range(j, p.R + 1))
-        if w > 0.0:
-            edges.append((0, j, w))
+    edges = _clamped_interior(p, 1, W, 0, W) + _compensation(p, 0, 1)
     return WeightedDigraph(edges, vertices=range(W + 1))
 
 
 def _clamped_interior(p: DirichletParams, lo: int, hi: int, floor: int, ceil: int):
     edges = []
+    support = p.support
     for x in range(lo, hi + 1):
-        for i in p.support:
+        for i in support:
             h = x + i
             if h < floor:
                 h = floor
             elif h > ceil:
                 h = ceil
             edges.append((x, h, p.alphas[i]))
+    return edges
+
+
+def _compensation(p: DirichletParams, end: int, side: int) -> list:
+    """Compensation edges at an end of a closed window, where the sources
+    beyond it collapse into it: for each offset k on the inner side (side +1
+    at the left end, -1 at the right), the edge (end, end + k) carries the
+    weight of the jumps i with the sign of k and |i| >= |k|, summed by
+    increasing i."""
+    edges = []
+    for k in (range(1, p.R + 1) if side > 0 else range(-p.L, 0)):
+        w = sum(p.alphas.get(i, 0.0) for i in (range(k, p.R + 1) if k > 0 else range(-p.L, k + 1)))
+        if w > 0.0:
+            edges.append((end, end + k, w))
     return edges
 
 
@@ -288,13 +256,17 @@ def strongly_connected(g: WeightedDigraph, S) -> bool:
     S = set(S)
     if not S:
         return False
-    missing = S.difference(g.vertices)
-    if missing:
-        raise ValueError(f"vertices not in graph: {sorted(missing)}")
+    _check_vertices(g, S)
     if len(S) == 1:
         (x,) = S
         return g.edge_weight(x, x) > 0.0
     within = [v in S for v in g.vertices]
-    lay = g._layout()
-    anchor = [lay.index[next(iter(S))]]
-    return lay.reach(anchor, within) == within == lay.reach(anchor, within, backward=True)
+    anchor = [g.index[next(iter(S))]]
+    return g.reach(anchor, within) == within == g.reach(anchor, within, backward=True)
+
+
+def _check_vertices(g: WeightedDigraph, vs) -> None:
+    """ValueError naming the members of vs that are not vertices of g."""
+    missing = set(vs).difference(g.index)
+    if missing:
+        raise ValueError(f"vertices not in graph: {sorted(missing)}")

@@ -16,7 +16,7 @@ from .errors import (
     SingularSystem,
     UnreachableBoundary,
 )
-from .graphs import WeightedDigraph
+from .graphs import WeightedDigraph, _check_vertices
 from .model import DirichletParams, derive_params
 
 RESIDUAL_TOL = 1e-10
@@ -78,11 +78,10 @@ def _hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nd
     the taboo.  The masks, the reachability check and the system's structure
     are set up once; each row is then filled, solved, checked and clamped as
     a solve of its own."""
-    lay = g._layout()
     # 0: unknown, 1: target, 2: taboo
     kind = np.zeros(len(g.vertices), dtype=np.int8)
     for k, part in ((1, target), (2, taboo)):
-        kind[[lay.index[v] for v in part if v in lay.index]] = k
+        kind[[g.index[v] for v in part if v in g.index]] = k
     out = np.zeros((len(probs), len(g.vertices)))
     out[:, kind == 1] = 1.0
     unknown = np.flatnonzero(kind == 0)
@@ -90,24 +89,24 @@ def _hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nd
         return out
 
     n = unknown.size
-    if n == len(g.vertices) or not lay.strongly_connected():
-        seen = lay.reach(np.flatnonzero(kind).tolist(), backward=True)
+    if n == len(g.vertices) or not g.strongly_connected():
+        seen = g.reach(np.flatnonzero(kind).tolist(), backward=True)
         missing = [g.vertices[i] for i in unknown.tolist() if not seen[i]]
         if missing:
             raise UnreachableBoundary(f"no path to target/taboo from {missing[:5]!r}")
     where = np.full(len(g.vertices), -1)
     where[unknown] = np.arange(n)
-    live = kind[lay.tails] == 0
-    head_kind = kind[lay.cols]
+    live = kind[g.tails] == 0
+    head_kind = kind[g.cols]
     to_target = np.flatnonzero(live & (head_kind == 1))
     inner = live & (head_kind == 0)
-    loop = inner & (lay.tails == lay.cols)
+    loop = inner & (g.tails == g.cols)
     off = np.flatnonzero(inner & ~loop)
     loop = np.flatnonzero(loop)
     system = _System(list(map(g.vertices.__getitem__, unknown.tolist())),
-                     where[lay.tails[off]], where[lay.cols[off]])
-    b_rows = where[lay.tails[to_target]]
-    diag_rows = where[lay.tails[loop]]
+                     where[g.tails[off]], where[g.cols[off]])
+    b_rows = where[g.tails[to_target]]
+    diag_rows = where[g.tails[loop]]
     step = max(1, _SOLVE_ENTRIES // n)
     for lo in range(0, len(probs), step):
         chunk = probs[lo:lo + step]
@@ -132,24 +131,25 @@ def expected_visits(env: Environment, x, S) -> float:
     S = sorted(set(S))
     if x not in S:
         raise ValueError(f"start {x!r} not in S")
-    lay = env.graph._layout()
-    inside = np.zeros(len(env.vertices), dtype=bool)
-    inside[[lay.index[v] for v in S]] = True
-    reached = np.array(lay.reach([lay.index[x]], inside.tolist()))
-    if not (reached[lay.tails] & ~inside[lay.cols]).any():
+    g = env.graph
+    _check_vertices(g, S)
+    inside = np.zeros(len(g.vertices), dtype=bool)
+    inside[[g.index[v] for v in S]] = True
+    reached = np.array(g.reach([g.index[x]], inside.tolist()))
+    if not (reached[g.tails] & ~inside[g.cols]).any():
         raise NoExit(f"the walk cannot leave {S!r} from {x!r}")
 
     # the system runs over the part of S that x reaches inside S: a closed
     # class elsewhere in S would make it singular
     n = int(reached.sum())
     where = np.cumsum(reached) - 1  # position within the reached part
-    keep = reached[lay.tails] & reached[lay.cols]
+    keep = reached[g.tails] & reached[g.cols]
     M = np.eye(n)
-    M[where[lay.tails[keep]], where[lay.cols[keep]]] -= env.probs[keep]
+    M[where[g.tails[keep]], where[g.cols[keep]]] -= env.probs[keep]
     e = np.zeros(n)
-    e[where[lay.index[x]]] = 1.0
+    e[where[g.index[x]]] = 1.0
     y = _dense_solve(M, e)
-    return float(y[where[lay.index[x]]])
+    return float(y[where[g.index[x]]])
 
 
 def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBracket:
@@ -179,9 +179,8 @@ def _escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) 
     h_up = _hitting_rows(g, band, frozenset([0]), probs)
     # with L = 1 the band is {W} and the lower problem is the upper one
     h_lo = h_up if p.L == 1 else _hitting_rows(g, frozenset([W]), frozenset([0]) | (band - {W}), probs)
-    lay = g._layout()
     upper = lower = 0.0
-    for j, h in enumerate(lay.cols[:lay.indptr[1]].tolist()):  # vertex 0 is row 0
+    for j, h in enumerate(g.cols[:g.indptr[1]].tolist()):  # vertex 0 is row 0
         # each row's sum over vertex 0's heads, left to right
         upper = upper + probs[:, j] * h_up[:, h]
         lower = lower + probs[:, j] * h_lo[:, h]
@@ -300,12 +299,11 @@ def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _stationary(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
     """Stationary probabilities (see invariant_measure) of k environments on
     g, given as the rows of a (k, edges) matrix; one _dense_solve each."""
-    lay = g._layout()
     n = len(g.vertices)
-    if not lay.strongly_connected():
+    if not g.strongly_connected():
         raise NotStronglyConnected("support graph is not strongly connected")
     P = np.zeros((len(probs), n, n))
-    P[:, lay.tails, lay.cols] = probs
+    P[:, g.tails, g.cols] = probs
     A = np.ascontiguousarray(P.transpose(0, 2, 1)) - np.eye(n)  # C-ordered, as P.T - I was
     A[:, -1, :] = 1.0
     b = np.zeros(n)
@@ -325,13 +323,13 @@ def _reverse(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
     """time_reverse of k environments on g, given as the rows of a (k, edges)
     matrix; the result's columns follow ``g.reversed().edges()``."""
     pi = _stationary(g, probs)
-    rlay = g.reversed()._layout()
+    gr = g.reversed()
     # reversed edge (x, y) is forward edge (y, x), listed by by_head; np.take
     # keeps out C-ordered, the layout verify.time_reversal's moments sum over
-    out = (np.take(pi, rlay.cols, axis=1) * np.take(probs, g._layout().by_head, axis=1)
-           / np.take(pi, rlay.tails, axis=1))
-    for _, flat in rlay.row_groups:
+    out = (np.take(pi, gr.cols, axis=1) * np.take(probs, g.by_head, axis=1)
+           / np.take(pi, gr.tails, axis=1))
+    for _, flat in gr.row_groups:
         block = np.take(out, flat, axis=1)
         out[:, flat] = block / block.sum(axis=2, keepdims=True)  # drop the solve's drift
-    _check_rows(g.reversed(), out)
+    _check_rows(gr, out)
     return out

@@ -15,7 +15,6 @@ from . import solver, stats, walk
 from .environment import (
     Environment,
     RngStream,
-    _gamma_rows,
     _sample_runs,
     _sample_streams,
     sample_environment,
@@ -170,8 +169,8 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     fwd = sample(g, 0, n_envs)
     # reversed probabilities indexed by the forward edge they reverse: gr's
     # edges sorted by head, then tail, are g's edges in g's order
-    bwd = solver._reverse(g, fwd)[:, gr._layout().by_head]
-    ptr, cols = g._layout().indptr.tolist(), g._layout().cols.tolist()
+    bwd = solver._reverse(g, fwd)[:, gr.by_head]
+    ptr, cols = g.indptr.tolist(), g.cols.tolist()
     heads = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
     max_cycle_err = 0.0
     for f, r, i in zip(fwd.tolist(), bwd.tolist(), range(n_envs)):
@@ -359,15 +358,11 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
     sets containing 0."""
     g = tournier_graph()
     beta_min, witness = min_exit_weight(g, 0)
-    gen = RngStream(seed).generator()
-    lay = g._layout()
     # rows of the transient vertices 0-3, then the sink's certain self-loop
-    flat = np.concatenate(
-        [_gamma_rows(gen, lay.weights[lay.indptr[v]:lay.indptr[v + 1]], n_envs) for v in range(4)]
-        + [np.ones((n_envs, 1))], axis=1)
-    inner = (lay.tails < 4) & (lay.cols < 4)
+    flat = _sample_runs(g, RngStream(seed).generator(), n_envs)
+    inner = (g.tails < 4) & (g.cols < 4)
     mats = np.tile(np.eye(4), (n_envs, 1, 1))
-    mats[:, lay.tails[inner], lay.cols[inner]] -= flat[:, inner]
+    mats[:, g.tails[inner], g.cols[inner]] -= flat[:, inner]
     e0 = np.zeros((4, 1))
     e0[0, 0] = 1.0
     sols = np.linalg.solve(mats, np.broadcast_to(e0, (n_envs, 4, 1)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .environment import Environment, RngStream, _gamma_rows
 from .errors import DeadEnd, NotAPath, StartOutsideWindow
-from .graphs import WeightedDigraph
+from .graphs import WeightedDigraph, _check_vertices
 from .model import DirichletParams, derive_params
 from .stats import mean_and_se
 
@@ -176,14 +176,14 @@ def simulate_derrw_batch(g: WeightedDigraph, start, horizon: int, runs: int, rng
     the stream where the previous one stopped, so n runs are the first n runs
     of any longer batch from the same stream.
     """
-    lay = g._layout()
+    _check_vertices(g, [start])
     verts = g.vertices
-    ptr = lay.indptr.tolist()
-    cols = lay.cols.tolist()
-    base = lay.weights.tolist()
+    ptr = g.indptr.tolist()
+    cols = g.cols.tolist()
+    base = g.weights.tolist()
     base_total = [math.fsum(base[ptr[i]:ptr[i + 1]]) for i in range(len(verts))]
-    first = lay.index[start]
-    stop = lay.index.get(stop_on_return_to, -1)
+    first = g.index[start]
+    stop = g.index.get(stop_on_return_to, -1)
     # uniforms come in chunks; the stream does not depend on the chunk size
     size = min(_CHUNK, runs * horizon)
     chunks = map(np.ndarray.tolist, map(rng.generator().random, repeat(size)))

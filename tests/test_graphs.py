@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwde.errors import MTooSmall, NonpositiveKappa1, NonzeroKappa1, WTooSmall
 from rwde.graphs import (
@@ -188,3 +191,74 @@ def test_parallel_edges_amalgamate_and_dump_sorted():
 def test_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         WeightedDigraph([(0, 1, 0.0)])
+
+
+@st.composite
+def _edge_lists(draw):
+    """(edges, vertices): 1-6 int or string labels, up to 25 edges drawn
+    from them (so parallel edges and self-loops are common), and extra
+    labels that only vertices= names."""
+    kind = st.integers(-40, 40) if draw(st.booleans()) else st.text("abxyz", min_size=1, max_size=3)
+    labels = draw(st.lists(kind, min_size=1, max_size=6, unique=True))
+    extra = draw(st.lists(kind, max_size=3))
+    label = st.sampled_from(labels)
+    weight = st.floats(1e-3, 10.0)
+    edges = draw(st.lists(st.tuples(label, label, weight), max_size=25))
+    return edges, extra + draw(st.lists(label, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_graph_matches_dict_of_dicts_reference(case):
+    edges, extra = case
+    out = {}
+    for t, h, w in edges:  # parallel edges sum in input order
+        row = out.setdefault(t, {})
+        row[h] = row.get(h, 0.0) + w
+    verts = sorted({*extra, *(t for t, _, _ in edges), *(h for _, h, _ in edges)})
+    ref = [(t, h, out[t][h]) for t in verts for h in sorted(out.get(t, {}))]
+    inc = {}
+    for t, h, w in ref:
+        inc.setdefault(h, {})[t] = w
+    g = WeightedDigraph(edges, vertices=extra)
+
+    assert g.vertices == tuple(verts)
+    assert list(g.edges()) == ref
+    assert g.dump() == "\n".join(f"{t} {h} {w!r}" for t, h, w in ref)
+    assert g.num_edges == len(ref)
+    assert list(g.reversed().edges()) == sorted((h, t, w) for t, h, w in ref)
+    assert g.reversed().vertices == g.vertices
+    for v in verts + ["not a vertex"]:
+        row = sorted(out.get(v, {}).items())
+        col = sorted(inc.get(v, {}).items())
+        assert list(g.out_edges(v).items()) == row
+        assert list(g.in_edges(v).items()) == col
+        assert g.out_weight(v) == sum(w for _, w in row)  # summed in row order
+        assert g.in_weight(v) == sum(w for _, w in col)
+    for t in verts:
+        for h in verts:
+            assert g.edge_weight(t, h) == out.get(t, {}).get(h, 0.0)
+
+    # the flat rows, derived here from the reference
+    at = {v: i for i, v in enumerate(verts)}
+    tails = [at[t] for t, _, _ in ref]
+    cols = [at[h] for _, h, _ in ref]
+    deg = [len(out.get(v, {})) for v in verts]
+    indptr = np.concatenate(([0], np.cumsum(deg, dtype=int))).tolist()
+    by_head = sorted(range(len(ref)), key=lambda k: (cols[k], tails[k]))
+    assert g.index == at
+    assert g.pos == {(t, h): k for k, (t, h, _) in enumerate(ref)}
+    assert g.indptr.tolist() == indptr
+    assert g.tails.tolist() == tails and g.cols.tolist() == cols
+    assert g.weights.tolist() == [w for _, _, w in ref]
+    assert g.by_head.tolist() == by_head
+    assert g.head_ptr.tolist() == [sum(c < i for c in cols) for i in range(len(verts) + 1)]
+    groups = [(r.tolist(), flat.tolist()) for r, flat in g.row_groups]
+    assert groups == [
+        ([i for i in range(len(verts)) if deg[i] == d],
+         [list(range(indptr[i], indptr[i + 1])) for i in range(len(verts)) if deg[i] == d])
+        for d in sorted(set(deg))
+    ]
+    lone_loops = {k for k in range(len(ref)) if deg[tails[k]] == 1 and tails[k] == cols[k]}
+    assert g.drawn.tolist() == [k for k in range(len(ref)) if k not in lone_loops]
+    assert g.heads == {v: tuple(sorted(out.get(v, {}))) for v in verts}

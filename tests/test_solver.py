@@ -116,6 +116,13 @@ def test_expected_visits_geometric():
     assert expected_visits(env, 0, [0]) == pytest.approx(1.0 / q, abs=1e-10)
 
 
+def test_expected_visits_unknown_vertex_is_a_value_error():
+    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
+    env = sample_environment(build_window(p, 0, 4), RngStream(1))
+    with pytest.raises(ValueError, match=r"vertices not in graph: \[99\]"):
+        expected_visits(env, 1, [1, 2, 99])
+
+
 def test_expected_visits_no_exit():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
     env = Environment(g, {0: ((1,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
@@ -412,9 +419,8 @@ def test_random_cycle_tables_match_randrange_walk():
     for text in ("-1:1,1:2", "-2:0.7,-1:0.4,0:0.3,2:1.1,3:0.9"):
         p, _ = parse_alphas(text)
         for g in (build_drift_closure(p, 6), build_window(p, 0, 5)):
-            lay = g._layout()
-            pos, ptr = lay.pos, lay.indptr.tolist()
-            heads = [lay.cols[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+            pos, ptr = g.pos, g.indptr.tolist()
+            heads = [g.cols[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
             for seed in range(5):
                 ref, rnd = random.Random(seed), random.Random(seed)
                 for _ in range(50):

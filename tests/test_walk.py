@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwde import verify
 from rwde.environment import Environment, RngStream, sample_environment
 from rwde.errors import DeadEnd, NotAPath, StartOutsideWindow
 from rwde.graphs import WeightedDigraph, build_window
@@ -99,6 +100,13 @@ def test_derrw_dead_end():
         simulate_derrw(g, 0, 3, RngStream(0))
     with pytest.raises(DeadEnd):
         simulate_derrw_batch(g, 0, 3, 5, RngStream(0))
+
+
+def test_derrw_unknown_start_is_a_value_error():
+    with pytest.raises(ValueError, match=r"vertices not in graph: \[7\]"):
+        simulate_derrw(verify.derrw_graph(), 7, 3, RngStream(1))
+    with pytest.raises(ValueError, match=r"vertices not in graph: \['a'\]"):
+        simulate_derrw_batch(verify.derrw_graph(), "a", 3, 2, RngStream(1))
 
 
 def _derrw_reference(g, start, horizon, runs, rng, stop=None):
