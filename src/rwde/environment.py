@@ -10,7 +10,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import BadPartition, IsolatedVertex, NonpositiveConcentration
-from .graphs import WeightedDigraph
+from .graphs import WeightedDigraph, _check_vertices
 
 _U64 = (1 << 64) - 1
 
@@ -123,78 +123,73 @@ def _gamma_rows(gen: Generator, a: np.ndarray, n: int, redraw: bool = True):
 
 
 class Environment:
-    """Transition rows on a finite graph: row(x) is a probability vector over
-    the out-neighbors of x."""
+    """One environment on a finite graph: ``probs`` holds its transition
+    probabilities in the order of ``graph.edges()``, as one row of the
+    (k, edges) matrices that the batch kernels take and return.  row(x) is
+    the probability vector over the sorted out-neighbors of x."""
 
-    __slots__ = ("graph", "_rows", "_probs")
+    __slots__ = ("graph", "probs")
 
     ROW_SUM_TOL = 1e-12
 
-    def __init__(self, graph: WeightedDigraph, rows: dict | None = None, _probs=None):
+    def __init__(self, graph: WeightedDigraph, probs):
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != graph.weights.shape:
+            raise ValueError(f"need shape ({graph.weights.size},), got {probs.shape}")
+        check_rows(graph, probs[None])
         self.graph = graph
-        if _probs is not None:
-            # flat rows from the batch sampler: support, sums and positivity
-            # are guaranteed by construction
-            self._rows = None
-            self._probs = _probs
-            return
-        checked, flat = {}, []
+        self.probs = probs
+
+    @classmethod
+    def from_rows(cls, graph: WeightedDigraph, rows: dict) -> "Environment":
+        """The environment with rows[x] = (heads, probabilities) at each vertex
+        x, the heads those of x's out-edges in any order."""
+        flat = []
         for x, sorted_heads in graph.heads.items():
             heads, probs = rows[x]
             heads, probs = tuple(heads), np.asarray(probs, dtype=float)
             if sorted_heads != tuple(sorted(heads)) or probs.shape != (len(heads),):
                 raise ValueError(f"row support at {x} does not match out-edges")
-            checked[x] = (heads, probs)
             flat.append(probs if heads == sorted_heads
                         else probs[sorted(range(len(heads)), key=heads.__getitem__)])
-        self._rows = checked
-        self._probs = np.concatenate(flat or [np.empty(0)])
-        _check_rows(graph, self._probs[None])
+        return cls(graph, np.concatenate(flat or [np.empty(0)]))
 
     @property
     def vertices(self) -> tuple:
         return self.graph.vertices
 
-    @property
-    def probs(self) -> np.ndarray:
-        """All transition probabilities, row by row in the order of
-        ``graph.edges()``."""
-        return self._probs
-
     def row(self, x):
-        if self._rows is None:
-            ptr = self.graph.indptr.tolist()
-            self._rows = {
-                v: (heads, self._probs[ptr[i]:ptr[i + 1]])
-                for i, (v, heads) in enumerate(self.graph.heads.items())
-            }
-        return self._rows[x]
+        """(the sorted heads of x, their probabilities as a view of probs)."""
+        g = self.graph
+        i = g.index.get(x)
+        if i is None:
+            _check_vertices(g, [x])
+        return g.heads[x], self.probs[g.indptr[i]:g.indptr[i + 1]]
 
     def prob(self, x, y) -> float:
+        """P(x -> y); 0.0 if (x, y) is not an edge between vertices of the graph."""
         k = self.graph.pos.get((x, y))
-        return 0.0 if k is None else float(self._probs[k])
+        if k is None:
+            _check_vertices(self.graph, (x, y))
+        return 0.0 if k is None else float(self.probs[k])
 
     def dump(self) -> str:
         """Golden-test format: ``x head prob`` lines, sorted."""
-        lines = []
-        for x in self.vertices:
-            heads, probs = self.row(x)
-            for h, q in sorted(zip(heads, probs)):
-                lines.append(f"{x} {h} {q!r}")
-        return "\n".join(lines)
+        return "\n".join(f"{x} {h} {q!r}" for (x, h), q in zip(self.graph.pos, self.probs))
 
 
-def _check_rows(g: WeightedDigraph, probs: np.ndarray) -> None:
-    """ValueError unless each row of the (k, edges) matrix probs sums to 1
-    within Environment.ROW_SUM_TOL and has its entries in (0, 1]."""
-    for rows, flat in g.row_groups:
-        block = np.take(probs, flat, axis=1)
-        bad = ((np.abs(block.sum(axis=2) - 1.0) > Environment.ROW_SUM_TOL)
-               | ((block <= 0.0) | (block > 1.0)).any(axis=2))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"row at {g.vertices[rows[j]]!r} is not a probability "
-                             f"vector: {block[i, j].tolist()}")
+def check_rows(g: WeightedDigraph, probs: np.ndarray) -> None:
+    """ValueError unless every row of the (k, edges) matrix probs, environment
+    j in the order of ``g.edges()``, is a probability vector at each vertex:
+    entries in (0, 1] and a sum within Environment.ROW_SUM_TOL of 1 (NaN
+    fails).  IsolatedVertex if a vertex of g has no out-edge."""
+    _check_out_edges(g)
+    vals = np.where((probs > 0.0) & (probs <= 1.0), probs, np.nan)  # a bad entry spoils its sum
+    bad = ~(np.abs(np.add.reduceat(vals, g.indptr[:-1], axis=1) - 1.0) <= Environment.ROW_SUM_TOL)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"row at {g.vertices[j]!r} is not a probability vector: "
+                         f"{probs[i, g.indptr[j]:g.indptr[j + 1]].tolist()}")
 
 
 def sample_environment(g: WeightedDigraph, rng) -> Environment:
@@ -205,13 +200,11 @@ def sample_environment(g: WeightedDigraph, rng) -> Environment:
 
 def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
     """n independent environments from a single generator, so the output is
-    a pure function of (stream, n): for n > 1 vertex by vertex in sorted
-    order (_sample_runs), and for n == 1 as the one-stream case of
-    _sample_streams.
+    a pure function of (stream, n): the rows of sample_rows for n > 1, and of
+    sample_stream_rows for n == 1.
     """
-    if n == 1:
-        return [Environment(g, _probs=_sample_streams(g, [rng])[0])]
-    return [Environment(g, _probs=row) for row in _sample_runs(g, _as_generator(rng), n)]
+    rows = sample_stream_rows(g, [rng]) if n == 1 else sample_rows(g, rng, n)
+    return [Environment(g, row) for row in rows]
 
 
 def _check_out_edges(g: WeightedDigraph) -> None:
@@ -221,21 +214,25 @@ def _check_out_edges(g: WeightedDigraph) -> None:
         raise IsolatedVertex(f"vertex {g.vertices[groups[0][0][0]]!r} has no outgoing edges")
 
 
-# Rows per gamma call in _sample_runs: a beta-law window of 40 environments
+# Rows per gamma call in sample_rows: a beta-law window of 40 environments
 # is one call, and 2000 environments on 512 sites draw 1 MB of variates at a
 # time.
 _RUN_ROWS = 1 << 16
 
 
-def _sample_runs(g: WeightedDigraph, gen: Generator, n: int) -> np.ndarray:
-    """The (n, edges) probabilities of n environments drawn vertex by vertex:
-    vertex x's n rows come from ``_gamma_rows`` after those of the vertices
-    before it.  A run of consecutive vertices with equal weight rows is drawn
-    in calls of up to _RUN_ROWS rows, which give the same variates and floats
-    as one call per vertex; if a row of a call underflows to zeros, the
-    generator is rewound and the call's vertices are drawn one by one, which
-    redraws and counts such rows where the per-vertex calls would."""
+def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
+    """n environments on g from one RngStream or Generator: an (n, edges)
+    matrix whose row j is environment j in the order of ``g.edges()``.
+
+    The environments are drawn vertex by vertex: vertex x's n rows come from
+    ``_gamma_rows`` after those of the vertices before it.  A run of
+    consecutive vertices with equal weight rows is drawn in calls of up to
+    _RUN_ROWS rows, which give the same variates and floats as one call per
+    vertex; if a row of a call underflows to zeros, the generator is rewound
+    and the call's vertices are drawn one by one, which redraws and counts
+    such rows where the per-vertex calls would."""
     _check_out_edges(g)
+    gen = _as_generator(rng)
     out = np.ones((n, g.weights.size))
     ptr, weights = g.indptr.tolist(), g.weights.tolist()
     runs, prev = [], None
@@ -260,14 +257,15 @@ def _sample_runs(g: WeightedDigraph, gen: Generator, n: int) -> np.ndarray:
     return out
 
 
-def _sample_streams(g: WeightedDigraph, rngs) -> np.ndarray:
-    """The (len(rngs), edges) probabilities of one environment per stream,
-    each the environment ``sample_environments(g, rng, 1)`` draws.
+def sample_stream_rows(g: WeightedDigraph, rngs) -> np.ndarray:
+    """One environment on g per RngStream or Generator in rngs: a
+    (len(rngs), edges) matrix whose row j, in the order of ``g.edges()``, is
+    the environment ``sample_environments(g, rngs[j], 1)`` draws.
 
     A stream draws every row that is not a lone self-loop in one gamma call
     over the joined shape vectors (the variates of the per-vertex calls), and
     each row is divided by its own sum.  A stream with a row that underflows
-    to zeros is rewound and drawn by _sample_runs instead, which redraws and
+    to zeros is rewound and drawn by sample_rows instead, which redraws and
     counts such rows.
     """
     _check_out_edges(g)
@@ -288,12 +286,9 @@ def _sample_streams(g: WeightedDigraph, rngs) -> np.ndarray:
             sums[zero] = 1.0
         out[:, flat] = rows / sums
     for i in sorted(bad):
-        gen = gens[i]
         if i in states:
-            gen.bit_generator.state = states[i]
-        else:
-            gen = rngs[i].generator()
-        out[i] = _sample_runs(g, gen, 1)[0]
+            gens[i].bit_generator.state = states[i]
+        out[i] = sample_rows(g, rngs[i], 1)[0]
     out[out == 0.0] = _MIN_POSITIVE
     return out
 

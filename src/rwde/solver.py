@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .environment import Environment, _check_rows
+from .environment import Environment, check_rows
 from .errors import (
     NoExit,
     NotStronglyConnected,
@@ -56,32 +56,31 @@ class EscapeBracket:
 
 
 def hitting_probability(problem: HittingProblem) -> dict:
-    """z -> P^z(hit target before taboo), the bounded harmonic solution with
-    boundary values 1 on the target and 0 on the taboo.  Values are clamped
-    to [0, 1] once the solve has passed its residual check."""
+    """z -> P^z(hit target before taboo) for the vertices z in order: the
+    bounded harmonic solution with boundary values 1 on the target and 0 on
+    the taboo, clamped to [0, 1] once the solve has passed its residual check."""
     env = problem.env
-    out = dict.fromkeys(problem.target, 1.0)
-    out.update(dict.fromkeys(problem.taboo, 0.0))
-    h = _hitting_rows(env.graph, problem.target, problem.taboo, env.probs[None])
-    out.update(zip(env.vertices, h[0].tolist()))
-    return out
+    h = hitting_rows(env.graph, problem.target, problem.taboo, env.probs[None])
+    return dict(zip(env.vertices, h[0].tolist()))
 
 
-# Unknowns times environments per batch in _hitting_rows: 40 half-lines of
+# Unknowns times environments per batch in hitting_rows: 40 half-lines of
 # 512 sites are one batch, and 2000 are solved 64 at a time, in about 5 MB.
 _SOLVE_ENTRIES = 1 << 15
 
 
-def _hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.ndarray:
-    """hitting_probability for k environments on g, given as the rows of a
-    (k, edges) matrix: a (k, vertices) matrix with 1 on the target and 0 on
-    the taboo.  The masks, the reachability check and the system's structure
-    are set up once; each row is then filled, solved, checked and clamped as
-    a solve of its own."""
+def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.ndarray:
+    """hitting_probability for k environments on g: row j of the (k, edges)
+    matrix probs is environment j in ``g.edges()`` order, and row j of the
+    result its values in ``g.vertices`` order; ValueError names target or
+    taboo members that are not vertices.  The masks, the reachability check
+    and the system's structure are set up once; each row is then filled,
+    solved, checked and clamped as a solve of its own."""
+    _check_vertices(g, [*target, *taboo])
     # 0: unknown, 1: target, 2: taboo
     kind = np.zeros(len(g.vertices), dtype=np.int8)
     for k, part in ((1, target), (2, taboo)):
-        kind[[g.index[v] for v in part if v in g.index]] = k
+        kind[[g.index[v] for v in part]] = k
     out = np.zeros((len(probs), len(g.vertices)))
     out[:, kind == 1] = 1.0
     unknown = np.flatnonzero(kind == 0)
@@ -162,13 +161,14 @@ def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBr
     certain return to 0.  For nearest-neighbor jumps the band is the single
     vertex W and the two bounds coincide.
     """
-    lower, upper = _escape_brackets(p, env.graph, env.probs[None])
+    lower, upper = escape_brackets(p, env.graph, env.probs[None])
     return EscapeBracket(lower=float(lower[0]), upper=float(upper[0]), window=max(env.vertices))
 
 
-def _escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tuple:
-    """escape_probability_bracket for k environments on g, given as the rows
-    of a (k, edges) matrix: the arrays of lower and upper bounds."""
+def escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tuple:
+    """escape_probability_bracket for k environments on the half-line g: row
+    j of the (k, edges) matrix probs is environment j in ``g.edges()`` order,
+    and entry j of the two result arrays its lower and upper bound."""
     dp = derive_params(p)
     if dp.kappa1_is_zero or dp.kappa1 < 0.0:
         raise ValueError(f"escape bracket needs kappa1 > 0, got {dp.kappa1}")
@@ -176,9 +176,9 @@ def _escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) 
     if g.vertices != tuple(range(W + 1)):
         raise ValueError("environment must live on a half-line truncation [0, W]")
     band = frozenset(range(W - p.L + 1, W + 1))
-    h_up = _hitting_rows(g, band, frozenset([0]), probs)
+    h_up = hitting_rows(g, band, frozenset([0]), probs)
     # with L = 1 the band is {W} and the lower problem is the upper one
-    h_lo = h_up if p.L == 1 else _hitting_rows(g, frozenset([W]), frozenset([0]) | (band - {W}), probs)
+    h_lo = h_up if p.L == 1 else hitting_rows(g, frozenset([W]), frozenset([0]) | (band - {W}), probs)
     upper = lower = 0.0
     for j, h in enumerate(g.cols[:g.indptr[1]].tolist()):  # vertex 0 is row 0
         # each row's sum over vertex 0's heads, left to right
@@ -190,25 +190,27 @@ def _escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) 
 def invariant_measure(env: Environment) -> dict:
     """Stationary probability pi of the row-stochastic environment on a
     strongly connected finite graph: pi P = pi, sum(pi) = 1."""
-    return dict(zip(env.vertices, _stationary(env.graph, env.probs[None])[0].tolist()))
+    return dict(zip(env.vertices, stationary_rows(env.graph, env.probs[None])[0].tolist()))
 
 
 def time_reverse(env: Environment) -> Environment:
     """Reversed-chain environment: new row prob x -> y is
     pi(y) * prob(y, x) / pi(x); cycles keep their probability with the
     orientation flipped."""
-    return Environment(env.graph.reversed(), _probs=_reverse(env.graph, env.probs[None])[0])
+    return Environment(env.graph.reversed(), reverse_rows(env.graph, env.probs[None])[0])
 
 
 def redirect_to(env: Environment, x, y) -> Environment:
     """Surgery: replace the row at x with a sure jump to y (used by the
     harmonic monotonicity checks)."""
-    edges = [(t, h, w) for t, h, w in env.graph.edges() if t != x]
+    g = env.graph
+    _check_vertices(g, (x, y))
+    edges = [(t, h, w) for t, h, w in g.edges() if t != x]
     edges.append((x, y, 1.0))
-    g2 = WeightedDigraph(edges, vertices=env.graph.vertices)
-    rows = {v: env.row(v) for v in g2.vertices}
-    rows[x] = ((y,), np.array([1.0]))
-    return Environment(g2, rows)
+    # the new graph keeps g's rows in g's order, with x's row the edge (x, y)
+    lo, hi = g.indptr[g.index[x]:g.index[x] + 2]
+    probs = np.concatenate((env.probs[:lo], [1.0], env.probs[hi:]))
+    return Environment(WeightedDigraph(edges, vertices=g.vertices), probs)
 
 
 # --- linear algebra ----------------------------------------------------------
@@ -296,9 +298,10 @@ def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stationary(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
-    """Stationary probabilities (see invariant_measure) of k environments on
-    g, given as the rows of a (k, edges) matrix; one _dense_solve each."""
+def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
+    """invariant_measure for k environments on g: row j of the (k, edges)
+    matrix probs is environment j in ``g.edges()`` order, and row j of the
+    result its stationary probabilities in ``g.vertices`` order."""
     n = len(g.vertices)
     if not g.strongly_connected():
         raise NotStronglyConnected("support graph is not strongly connected")
@@ -319,10 +322,11 @@ def _stationary(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _reverse(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
-    """time_reverse of k environments on g, given as the rows of a (k, edges)
-    matrix; the result's columns follow ``g.reversed().edges()``."""
-    pi = _stationary(g, probs)
+def reverse_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
+    """time_reverse for k environments on g: row j of the (k, edges) matrix
+    probs is environment j in ``g.edges()`` order, and row j of the result its
+    reversal, with columns in ``g.reversed().edges()`` order."""
+    pi = stationary_rows(g, probs)
     gr = g.reversed()
     # reversed edge (x, y) is forward edge (y, x), listed by by_head; np.take
     # keeps out C-ordered, the layout verify.time_reversal's moments sum over
@@ -331,5 +335,5 @@ def _reverse(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
     for _, flat in gr.row_groups:
         block = np.take(out, flat, axis=1)
         out[:, flat] = block / block.sum(axis=2, keepdims=True)  # drop the solve's drift
-    _check_rows(gr, out)
+    check_rows(gr, out)
     return out

@@ -15,9 +15,9 @@ from . import solver, stats, walk
 from .environment import (
     Environment,
     RngStream,
-    _sample_runs,
-    _sample_streams,
     sample_environment,
+    sample_rows,
+    sample_stream_rows,
 )
 from .errors import UnreachableBoundary
 from .graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
@@ -59,7 +59,7 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int,
     g = build_halfline(p, window)
     # the environments of sample_environments (for n == 1 the one-call draw
     # gives the same floats), bracketed in one batch
-    lower, upper = solver._escape_brackets(p, g, _sample_runs(g, RngStream(seed).generator(), replicas))
+    lower, upper = solver.escape_brackets(p, g, sample_rows(g, RngStream(seed), replicas))
     mids = 0.5 * (lower + upper)  # EscapeBracket.midpoint and width
     widths = upper - lower
     report = stats.ks_test(mids, stats.beta_cdf(dp.kappa1, dp.d_minus))
@@ -155,7 +155,7 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     Batch layout: environment i of part j comes from stream (j, i) and is row
     i of an (environments, edges) matrix.  Parts 0 (n_envs, cycles drawn
     from stream (1, i)) and 2 (draws) live on the closure and are reversed
-    in one ``solver._reverse`` call each; part 3 lives on the reversed one.
+    in one ``solver.reverse_rows`` call each; part 3 lives on the reversed one.
     """
     if draws < 2:
         raise ValueError(f"the moment comparison needs at least 2 draws, got {draws}")
@@ -164,12 +164,12 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     base = RngStream(seed)
 
     def sample(graph, part, count):
-        return _sample_streams(graph, [base.substream(part, i) for i in range(count)])
+        return sample_stream_rows(graph, [base.substream(part, i) for i in range(count)])
 
     fwd = sample(g, 0, n_envs)
     # reversed probabilities indexed by the forward edge they reverse: gr's
     # edges sorted by head, then tail, are g's edges in g's order
-    bwd = solver._reverse(g, fwd)[:, gr.by_head]
+    bwd = solver.reverse_rows(g, fwd)[:, gr.by_head]
     ptr, cols = g.indptr.tolist(), g.cols.tolist()
     heads = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
     max_cycle_err = 0.0
@@ -185,7 +185,7 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
             max_cycle_err = max(max_cycle_err, abs(p_fwd - p_bwd))
 
     # one column per reversed edge, in the order of gr.edges()
-    a = solver._reverse(g, sample(g, 2, draws))
+    a = solver.reverse_rows(g, sample(g, 2, draws))
     b = sample(gr, 3, draws)
     worst_z = 0.0
     for mat_a, mat_b in ((a, b), (a * a, b * b)):
@@ -359,7 +359,7 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
     g = tournier_graph()
     beta_min, witness = min_exit_weight(g, 0)
     # rows of the transient vertices 0-3, then the sink's certain self-loop
-    flat = _sample_runs(g, RngStream(seed).generator(), n_envs)
+    flat = sample_rows(g, RngStream(seed), n_envs)
     inner = (g.tails < 4) & (g.cols < 4)
     mats = np.tile(np.eye(4), (n_envs, 1, 1))
     mats[:, g.tails[inner], g.cols[inner]] -= flat[:, inner]
@@ -371,7 +371,7 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
     # cross-check a few entries against the scalar solver path
     max_dev = 0.0
     for k in range(min(3, n_envs)):
-        ref = solver.expected_visits(Environment(g, _probs=flat[k]), 0, [0, 1, 2, 3])
+        ref = solver.expected_visits(Environment(g, flat[k]), 0, [0, 1, 2, 3])
         max_dev = max(max_dev, float(abs(ref - samples[k])))
 
     k = stats.default_hill_k(n_envs)

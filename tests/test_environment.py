@@ -170,11 +170,69 @@ def test_amalgamate_examples():
 def test_environment_validation():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
     with pytest.raises(ValueError):
-        Environment(g, {0: ((1,), np.array([0.5])), 1: ((0,), np.array([1.0]))})
+        Environment.from_rows(g, {0: ((1,), np.array([0.5])), 1: ((0,), np.array([1.0]))})
     with pytest.raises(ValueError):
-        Environment(g, {0: ((0,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
+        Environment.from_rows(g, {0: ((0,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
     with pytest.raises(ValueError):  # one probability more than heads
-        Environment(g, {0: ((1,), np.array([0.5, 0.5])), 1: ((0,), np.array([1.0]))})
+        Environment.from_rows(g, {0: ((1,), np.array([0.5, 0.5])), 1: ((0,), np.array([1.0]))})
+
+
+@st.composite
+def _labelled_rows(draw):
+    """A graph on 1-6 vertices labelled by ints or strings, every vertex with
+    1-6 out-edges, and its rows as {x: (heads in shuffled order, probs)}."""
+    n = draw(st.integers(1, 6))
+    labels = st.integers(-50, 50) if draw(st.booleans()) else st.text("abxyz", min_size=1, max_size=3)
+    names = draw(st.lists(labels, min_size=n, max_size=n, unique=True))
+    rows, edges = {}, []
+    for x in names:
+        heads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n, unique=True))
+        w = np.array([draw(st.floats(0.01, 1.0)) for _ in heads])
+        rows[x] = (tuple(heads), w / w.sum())
+        edges += [(x, h, 1.0) for h in heads]
+    return WeightedDigraph(edges), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_rows(), st.data())
+def test_environment_matches_dict_reference(case, data):
+    # Environment(g, flat) is the flat array in the order of g.edges();
+    # from_rows, row, prob and dump agree with a dict built here
+    g, rows = case
+    ref = {(x, h): q for x, (heads, probs) in rows.items() for h, q in zip(heads, probs.tolist())}
+    flat = np.array([ref[t, h] for t, h, _ in g.edges()])
+    env = Environment(g, flat)
+    assert Environment.from_rows(g, rows).probs.tobytes() == flat.tobytes()
+    for x in g.vertices:
+        heads, probs = env.row(x)
+        assert heads == tuple(sorted(rows[x][0]))
+        assert probs.tolist() == [ref[x, h] for h in heads]
+        assert all(env.prob(x, y) == ref.get((x, y), 0.0) for y in g.vertices)
+    assert env.dump() == "\n".join(f"{x} {h} {np.float64(ref[x, h])!r}" for x, h in sorted(ref))
+
+    tol = Environment.ROW_SUM_TOL
+    i = data.draw(st.integers(0, flat.size - 1))
+    lo = g.indptr[g.tails[i]]  # first entry of i's row
+    bad = [flat[:-1], np.append(flat, 0.5)]  # wrong lengths
+    for value in (np.nan, 0.0, -0.1, 1.5, flat[i] - 10 * tol, flat[i] + 10 * tol):
+        v = flat.copy()
+        v[i] = value
+        bad.append(v)
+    if g.indptr[g.tails[i] + 1] - lo >= 2:  # an entry <= 0 in a row that sums to 1
+        for value in (0.0, -0.1):
+            v = flat.copy()
+            j = lo + (i == lo)
+            v[j] += v[i] - value
+            v[i] = value
+            bad.append(v)
+    else:  # a lone entry above 1 within the sum tolerance
+        bad.append(np.where(np.arange(flat.size) == i, 1.0 + tol / 4, flat))
+    for v in bad:
+        with pytest.raises(ValueError):
+            Environment(g, v)
+    ok = flat.copy()
+    ok[i] -= tol / 4  # inside the tolerance
+    assert Environment(g, ok).probs[i] == ok[i]
 
 
 def _per_vertex_reference(g, gen, n=1):

@@ -38,7 +38,7 @@ def _nn_env(p_right, graph=None):
     rows = {0: ((1,), np.array([1.0])), N: ((N - 1,), np.array([1.0]))}
     for z in range(1, N):
         rows[z] = ((z - 1, z + 1), np.array([1.0 - p_right[z - 1], p_right[z - 1]]))
-    return Environment(g, rows)
+    return Environment.from_rows(g, rows)
 
 
 def test_hitting_boundary_conditions():
@@ -85,7 +85,7 @@ def test_hitting_unreachable_boundary():
         1: ((2,), np.array([1.0])),
         2: ((1,), np.array([1.0])),
     }
-    env = Environment(g, rows)
+    env = Environment.from_rows(g, rows)
     with pytest.raises(UnreachableBoundary):
         hitting_probability(HittingProblem(env, frozenset([0]), frozenset()))
 
@@ -109,7 +109,7 @@ def test_expected_visits_geometric():
     # single state with exit probability q is held 1/q times on average
     g = WeightedDigraph([(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
     q = 0.3
-    env = Environment(g, {
+    env = Environment.from_rows(g, {
         0: ((0, 1), np.array([1.0 - q, q])),
         1: ((1,), np.array([1.0])),
     })
@@ -123,9 +123,28 @@ def test_expected_visits_unknown_vertex_is_a_value_error():
         expected_visits(env, 1, [1, 2, 99])
 
 
+def test_unknown_vertices_are_value_errors():
+    # hitting_probability used to report the unknown target 99 as solved
+    # (1.0), row(99) raised KeyError and prob(99, 1) returned 0.0
+    p, _ = parse_alphas("-1:1,1:2")
+    env = sample_environment(build_window(p, 0, 4), RngStream(1))
+    missing = r"vertices not in graph: \[99\]"
+    with pytest.raises(ValueError, match=missing):
+        hitting_probability(HittingProblem(env, frozenset([99]), frozenset([0])))
+    with pytest.raises(ValueError, match=missing):
+        hitting_probability(HittingProblem(env, frozenset([4]), frozenset([0, 99])))
+    with pytest.raises(ValueError, match=missing):
+        env.row(99)
+    with pytest.raises(ValueError, match=missing):
+        env.prob(99, 1)
+    with pytest.raises(ValueError, match=missing):
+        env.prob(1, 99)
+    assert env.prob(0, 4) == 0.0  # a non-edge between vertices
+
+
 def test_expected_visits_no_exit():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
-    env = Environment(g, {0: ((1,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
+    env = Environment.from_rows(g, {0: ((1,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
     with pytest.raises(NoExit):
         expected_visits(env, 0, [0, 1])
 
@@ -134,7 +153,7 @@ def test_expected_visits_ignores_unreachable_closed_class():
     # {1, 2} is a closed class inside S that 0 cannot reach; over all of S
     # the system is singular and the solve used to return nan
     g = WeightedDigraph([(0, 0, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
-    env = Environment(g, {
+    env = Environment.from_rows(g, {
         0: ((0, 3), np.array([0.5, 0.5])),
         1: ((2,), np.array([1.0])),
         2: ((1,), np.array([1.0])),
@@ -177,7 +196,7 @@ def test_escape_bracket_deterministic_right():
     g = WeightedDigraph([(x, x + 1, 1.0) for x in range(W)] + [(W, W, 1.0)])
     rows = {x: ((x + 1,), np.array([1.0])) for x in range(W)}
     rows[W] = ((W,), np.array([1.0]))
-    env = Environment(g, rows)
+    env = Environment.from_rows(g, rows)
     p = validate_params(1, 1, {-1: 1e-9, 1: 1.0})
     br = escape_probability_bracket(p, env)
     assert (br.lower, br.upper) == (1.0, 1.0)
@@ -191,7 +210,7 @@ def test_escape_bracket_constant_drift():
     for z in range(1, W):
         rows[z] = ((z - 1, z + 1), np.array([1 / 3, 2 / 3]))
     rows[W] = ((W - 1, W), np.array([1 / 3, 2 / 3]))
-    env = Environment(g, rows)
+    env = Environment.from_rows(g, rows)
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
     br = escape_probability_bracket(p, env)
     assert br.width == 0.0  # nearest-neighbor band is the single far vertex
@@ -225,7 +244,7 @@ def test_escape_bracket_bounds_and_window_refinement():
                 merged[min(h, W1)] = merged.get(min(h, W1), 0.0) + q
             heads = tuple(sorted(merged))
             rows1[x] = (heads, np.array([merged[h] for h in heads]))
-        env1 = Environment(g1, rows1)
+        env1 = Environment.from_rows(g1, rows1)
         b1 = escape_probability_bracket(p, env1)
         b2 = escape_probability_bracket(p, env2)
         assert b1.lower <= b1.upper + 1e-15
@@ -235,14 +254,14 @@ def test_escape_bracket_bounds_and_window_refinement():
 
 def test_invariant_measure_two_state():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0), (1, 1, 1.0)])
-    env = Environment(g, {
+    env = Environment.from_rows(g, {
         0: ((0, 1), np.array([0.5, 0.5])),
         1: ((0, 1), np.array([0.5, 0.5])),
     })
     pi = invariant_measure(env)
     assert pi[0] == pytest.approx(0.5, abs=1e-12)
     p, q = 0.3, 0.8
-    env2 = Environment(g, {
+    env2 = Environment.from_rows(g, {
         0: ((0, 1), np.array([1 - p, p])),
         1: ((0, 1), np.array([q, 1 - q])),
     })
@@ -273,7 +292,7 @@ def test_invariant_measure_residual_random():
 
 def test_invariant_measure_requires_strong_connectivity():
     g = WeightedDigraph([(0, 1, 1.0), (1, 1, 1.0)])
-    env = Environment(g, {0: ((1,), np.array([1.0])), 1: ((1,), np.array([1.0]))})
+    env = Environment.from_rows(g, {0: ((1,), np.array([1.0])), 1: ((1,), np.array([1.0]))})
     with pytest.raises(NotStronglyConnected):
         invariant_measure(env)
 
@@ -282,7 +301,7 @@ def test_time_reverse_fixed_point_on_reversible_chain():
     g = WeightedDigraph(
         [(i, j, 1.0) for i in range(3) for j in range(3) if i != j]
     )
-    env = Environment(g, {
+    env = Environment.from_rows(g, {
         0: ((1, 2), np.array([0.5, 0.5])),
         1: ((0, 2), np.array([0.5, 0.5])),
         2: ((0, 1), np.array([0.5, 0.5])),
@@ -459,7 +478,7 @@ def _small_environments(draw):
         weights = np.array([draw(st.integers(1, 9)) for _ in heads], dtype=float)
         rows[t] = (tuple(heads), weights / weights.sum())
         edges += [(t, h, 1.0) for h in heads]
-    return Environment(WeightedDigraph(edges, vertices=names), rows)
+    return Environment.from_rows(WeightedDigraph(edges, vertices=names), rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,7 +530,7 @@ def _outcome(fn):
 
 def _per_environment_rows(g, target, taboo, probs):
     """hitting_probability on each row of probs, as a (rows, vertices) matrix."""
-    hs = [hitting_probability(HittingProblem(Environment(g, _probs=row), target, taboo))
+    hs = [hitting_probability(HittingProblem(Environment(g, row), target, taboo))
           for row in probs]
     return np.array([[h[v] for v in g.vertices] for h in hs])
 
@@ -524,7 +543,7 @@ def _assert_batch_matches(g, target, taboo, probs, entries, tol=1e-10):
     with mock.patch.object(solver, "RESIDUAL_TOL", tol):
         want = _outcome(lambda: _per_environment_rows(g, target, taboo, probs))
         with mock.patch.object(solver, "_SOLVE_ENTRIES", entries):
-            got = _outcome(lambda: solver._hitting_rows(g, target, taboo, probs))
+            got = _outcome(lambda: solver.hitting_rows(g, target, taboo, probs))
     if isinstance(want, str):
         assert got == want
     else:
@@ -575,7 +594,7 @@ def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W
         _assert_batch_matches(g, target, taboo, probs, entries, tol=3e-17)
     if derive_params(p).kappa1 > 0:
         want = _outcome(lambda: [escape_probability_bracket(p, env) for env in envs])
-        got = _outcome(lambda: solver._escape_brackets(p, g, probs))
+        got = _outcome(lambda: solver.escape_brackets(p, g, probs))
         if isinstance(want, str):
             assert got == want
         else:

@@ -32,7 +32,7 @@ def _deterministic_right_env(n):
     g = WeightedDigraph([(x, x + 1, 1.0) for x in range(n)] + [(n, n, 1.0)])
     rows = {x: ((x + 1,), np.array([1.0])) for x in range(n)}
     rows[n] = ((n,), np.array([1.0]))
-    return Environment(g, rows)
+    return Environment.from_rows(g, rows)
 
 
 def test_quenched_deterministic_path():
