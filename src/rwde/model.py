@@ -84,14 +84,14 @@ def validate_params(L: int, R: int, alphas: dict) -> DirichletParams:
     Weights are Dirichlet concentrations, not probabilities; no
     normalization is applied.
     """
+    for i, a in alphas.items():  # before L and R: parse_alphas takes them from weights > 0
+        if not math.isfinite(a) or a < 0.0:
+            raise NegativeWeight(f"weight at offset {i} is {a!r}")
     if L < 1 or R < 1:
         raise EmptySide(f"need L >= 1 and R >= 1, got L={L}, R={R}")
     for i in alphas:
         if not (-L <= i <= R):
             raise ValueError(f"offset {i} outside [-{L}, {R}]")
-    for i, a in alphas.items():
-        if not math.isfinite(a) or a < 0.0:
-            raise NegativeWeight(f"weight at offset {i} is {a!r}")
     if alphas.get(-L, 0.0) <= 0.0 or alphas.get(R, 0.0) <= 0.0:
         raise EndpointZero(
             f"endpoint weights must be positive: alpha[{-L}]={alphas.get(-L, 0.0)}, "

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .environment import Environment, check_rows
+from .environment import _MIN_POSITIVE, Environment, check_rows
 from .errors import (
     NoExit,
     NotStronglyConnected,
@@ -307,15 +307,18 @@ def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
         raise NotStronglyConnected("support graph is not strongly connected")
     P = np.zeros((len(probs), n, n))
     P[:, g.tails, g.cols] = probs
-    A = np.ascontiguousarray(P.transpose(0, 2, 1)) - np.eye(n)  # C-ordered, as P.T - I was
-    A[:, -1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.array([_dense_solve(M, b) for M in A]).reshape(len(probs), n)
-    if not np.all((pi > 0.0) & (pi < np.inf)):
-        # a small residual does not keep tiny components from the wrong side of 0
-        raise SingularSystem(f"stationary solve gave a component {pi.min():.3e} <= 0")
-    pi = pi / pi.sum(axis=1, keepdims=True)
+    Q, pi = P.copy(), np.ones((len(probs), n))
+    with np.errstate(all="ignore"):  # an underflow ends as a bad component below
+        # GTH (Grassmann, Taksar, Heyman 1985): j's exit rate is its off-diagonal
+        # sum, not 1 - p(j, j); no subtraction, so pi is relatively accurate
+        for j in range(n - 1, 0, -1):
+            Q[:, :j, j] /= Q[:, j, :j].sum(axis=1, keepdims=True)
+            Q[:, :j, :j] += Q[:, :j, j, None] * Q[:, j, None, :j]
+        for j in range(1, n):
+            pi[:, j] = np.matmul(pi[:, None, :j], Q[:, :j, j, None])[:, 0, 0]
+        pi = pi / pi.sum(axis=1, keepdims=True)
+    if not np.all(pi >= np.finfo(float).tiny):  # a zero, subnormal or NaN component
+        raise SingularSystem(f"stationary solve gave a component {pi.min():.3e}")
     residual = np.max(np.abs(np.matmul(pi[:, None, :], P)[:, 0] - pi), initial=0.0)
     if not residual <= RESIDUAL_TOL:
         raise SingularSystem(f"stationarity residual {residual:.3e}")
@@ -329,11 +332,13 @@ def reverse_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
     pi = stationary_rows(g, probs)
     gr = g.reversed()
     # reversed edge (x, y) is forward edge (y, x), listed by by_head; np.take
-    # keeps out C-ordered, the layout verify.time_reversal's moments sum over
-    out = (np.take(pi, gr.cols, axis=1) * np.take(probs, g.by_head, axis=1)
-           / np.take(pi, gr.tails, axis=1))
+    # keeps out C-ordered, as verify.time_reversal's moments sum it; dividing
+    # first, with pi normal, leaves 0.0 only below the smallest subnormal
+    out = np.take(pi, gr.cols, axis=1) * (np.take(probs, g.by_head, axis=1)
+                                          / np.take(pi, gr.tails, axis=1))
     for _, flat in gr.row_groups:
         block = np.take(out, flat, axis=1)
         out[:, flat] = block / block.sum(axis=2, keepdims=True)  # drop the solve's drift
+    out[out == 0.0] = _MIN_POSITIVE  # as the sampler clamps an underflow
     check_rows(gr, out)
     return out

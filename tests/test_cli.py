@@ -237,13 +237,25 @@ def test_diameter_bound_overflow_is_a_json_error(capsys):
         assert "diameter bound overflows" in rep["error"]["message"]
 
 
+def test_verify_reversal_small_weights_passes(capsys):
+    # an LU stationary solve gave components of about -1e-13 on closures of
+    # the first weights, and reversed entries underflowed to 0.0 at the second
+    for alphas, replicas in (("-1:0.05,1:0.1", "50"), ("-1:0.01,1:0.02", "200")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["verify", "reversal", f"--alphas={alphas}",
+                             "--replicas", replicas, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err, caught) == (0, "", []), alphas
+        assert _validated(captured.out)["passed"] is True
+
+
 def test_verify_reversal_small_weights_is_a_json_error(capsys):
-    # the stationary solve returns components of about -1e-13 on some
-    # closures of these weights; they pass the absolute residual check and
-    # used to give negative reversed rows, a ValueError and RuntimeWarnings
+    # at these weights the stationary vector itself underflows in the
+    # elimination: one JSON error, no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main(["verify", "reversal", "--alphas=-1:0.05,1:0.1",
+        code = cli.main(["verify", "reversal", "--alphas=-1:0.002,1:0.004",
                          "--replicas", "50", "--seed", "1"])
     captured = capsys.readouterr()
     assert (code, captured.err, caught) == (1, "", [])

@@ -14,6 +14,7 @@ from rwde.environment import (
     sample_dirichlet,
     sample_environment,
     sample_environments,
+    sample_rows,
 )
 from rwde.errors import BadPartition, IsolatedVertex, NonpositiveConcentration
 from rwde.graphs import WeightedDigraph, build_window
@@ -46,10 +47,9 @@ def test_dirichlet_marginal_mean():
     gen = RngStream(101).generator()
     n = 100_000
     first = np.array([sample_dirichlet([a, b], gen)[0] for _ in range(2000)])
-    # large batch via the environment sampler for speed
+    # large batch via the environment sampler's (n, edges) matrix for speed
     g = WeightedDigraph([(0, 1, a), (0, 0, b), (1, 1, 1.0)])
-    envs = sample_environments(g, RngStream(102), n)
-    big = np.array([env.prob(0, 1) for env in envs])
+    big = sample_rows(g, RngStream(102), n)[:, g.pos[0, 1]]
     mean = a / (a + b)
     sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
     assert abs(first.mean() - mean) <= 3 * sd / math.sqrt(first.size)
@@ -102,8 +102,7 @@ def test_environment_window_marginal_means():
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
     g = build_window(p, 0, 2)
     n = 100_000
-    envs = sample_environments(g, RngStream(19), n)
-    probs = np.array([env.prob(1, 2) for env in envs])
+    probs = sample_rows(g, RngStream(19), n)[:, g.pos[1, 2]]
     mean = 2.0 / 3.0
     sd = math.sqrt(2.0 * 1.0 / (9.0 * 4.0))
     assert abs(probs.mean() - mean) <= 3 * sd / math.sqrt(n)
@@ -114,8 +113,7 @@ def test_environment_small_weight_tail_exponent():
     alpha = 0.5
     g = WeightedDigraph([(0, 1, alpha), (0, 0, 2.0), (1, 1, 1.0)])
     n = 120_000
-    envs = sample_environments(g, RngStream(29), n)
-    vals = np.array([env.prob(0, 1) for env in envs])
+    vals = sample_rows(g, RngStream(29), n)[:, g.pos[0, 1]]
     eps = 2.0 ** -np.arange(4, 11)
     fracs = np.array([(vals < e).mean() for e in eps])
     assert np.all(fracs > 0)

@@ -204,3 +204,11 @@ def test_parse_alphas_roundtrip_and_errors():
         parse_alphas("-1:1,-1:2,1:1")
     with pytest.raises(ValueError):
         parse_alphas("x:1")
+
+
+def test_parse_alphas_bad_endpoint_weight_is_negative_weight():
+    # L and R come from the positive weights, so a bad weight at an endpoint
+    # used to be reported as an empty side or an offset out of range
+    for text, offset in (("-1:nan,1:1", -1), ("-1:-2,1:1", -1), ("-2:nan,-1:1,1:1", -2)):
+        with pytest.raises(NegativeWeight, match=f"offset {offset} "):
+            parse_alphas(text)

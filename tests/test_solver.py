@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwde import cli, verify
-from rwde.environment import Environment, RngStream, sample_environment, sample_environments
+from rwde.environment import (
+    _MIN_POSITIVE,
+    Environment,
+    RngStream,
+    sample_environment,
+    sample_environments,
+    sample_stream_rows,
+)
 from rwde.errors import NoExit, NotStronglyConnected, SingularSystem, UnreachableBoundary
 from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from rwde.model import parse_alphas, validate_params
@@ -22,6 +29,8 @@ from rwde.solver import (
     hitting_probability,
     invariant_measure,
     redirect_to,
+    reverse_rows,
+    stationary_rows,
     time_reverse,
 )
 from rwde.walk import simulate_quenched
@@ -295,6 +304,53 @@ def test_invariant_measure_requires_strong_connectivity():
     env = Environment.from_rows(g, {0: ((1,), np.array([1.0])), 1: ((1,), np.array([1.0]))})
     with pytest.raises(NotStronglyConnected):
         invariant_measure(env)
+
+
+def _closure_rows(alphas, part, indices):
+    """The reversal suite's seed-1 environments of one part on the M = 6
+    closure of alphas, as a graph and its (environments, edges) matrix."""
+    p, _ = parse_alphas(alphas)
+    g = build_drift_closure(p, 6)
+    return g, sample_stream_rows(g, [RngStream(1).substream(part, i) for i in indices])
+
+
+def test_stationary_rows_relatively_accurate_on_small_weights():
+    # an LU solve gave components of about -1e-13 on some of these closures;
+    # the elimination must give every component to a tolerance relative to
+    # its own size, however small it is
+    g, probs = _closure_rows("-1:0.05,1:0.1", 0, range(100))
+    pi = stationary_rows(g, probs)
+    P = np.zeros((len(probs), len(g.vertices), len(g.vertices)))
+    P[:, g.tails, g.cols] = probs
+    flow = np.matmul(pi[:, None, :], P)[:, 0]
+    assert np.all(pi > 0.0)
+    assert np.all(np.abs(flow - pi) <= 1e-12 * pi)
+
+
+def test_reverse_rows_clamps_only_underflowed_entries():
+    # at weights near 0.01 a reversed entry pi(y) p(y, x) / pi(x) can lie
+    # below the smallest subnormal; it is clamped to it, as the sampler
+    # clamps its own underflows, and no other entry is (the product
+    # pi(y) p(y, x) alone underflows on cycle environments, part 0)
+    n_clamped = 0
+    for part, count in ((0, 100), (2, 200)):
+        g, probs = _closure_rows("-1:0.01,1:0.02", part, range(count))
+        gr = g.reversed()
+        rev = reverse_rows(g, probs)
+        log_pi = np.log(stationary_rows(g, probs))
+        log_rev = log_pi[:, gr.cols] + np.log(probs[:, g.by_head]) - log_pi[:, gr.tails]
+        clamped = rev == _MIN_POSITIVE
+        n_clamped += int(clamped.sum())
+        assert np.all(log_rev[clamped] < math.log(1e-300)), part
+    assert n_clamped > 0
+
+
+def test_stationary_rows_rejects_a_subnormal_component():
+    # a subnormal component has lost its relative accuracy, and p / pi(x)
+    # could overflow in reverse_rows; environment 190 here has one
+    g, probs = _closure_rows("-1:0.005,1:0.01", 0, [190])
+    with pytest.raises(SingularSystem, match="component 6.833e-321"):
+        stationary_rows(g, probs)
 
 
 def test_time_reverse_fixed_point_on_reversible_chain():
