@@ -92,7 +92,7 @@ class SingularSystem(RwdeError):
 
 
 class NoExit(RwdeError):
-    """The walk cannot leave the given set; the expectation is infinite."""
+    """The walk surely returns to its start inside the set: infinite expectation."""
 
 
 class NotStronglyConnected(RwdeError):

@@ -93,19 +93,9 @@ def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nda
         missing = [g.vertices[i] for i in unknown.tolist() if not seen[i]]
         if missing:
             raise UnreachableBoundary(f"no path to target/taboo from {missing[:5]!r}")
-    where = np.full(len(g.vertices), -1)
-    where[unknown] = np.arange(n)
-    live = kind[g.tails] == 0
-    head_kind = kind[g.cols]
-    to_target = np.flatnonzero(live & (head_kind == 1))
-    inner = live & (head_kind == 0)
-    loop = inner & (g.tails == g.cols)
-    off = np.flatnonzero(inner & ~loop)
-    loop = np.flatnonzero(loop)
-    system = _System(list(map(g.vertices.__getitem__, unknown.tolist())),
-                     where[g.tails[off]], where[g.cols[off]])
+    where, system, fill = _system_on(g, kind == 0)
+    to_target = np.flatnonzero((kind[g.tails] == 0) & (kind[g.cols] == 1))
     b_rows = where[g.tails[to_target]]
-    diag_rows = where[g.tails[loop]]
     step = max(1, _SOLVE_ENTRIES // n)
     for lo in range(0, len(probs), step):
         chunk = probs[lo:lo + step]
@@ -113,9 +103,7 @@ def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nda
         # b accumulates each row's target probabilities left to right
         b = np.bincount((np.arange(k)[:, None] * n + b_rows).ravel(),
                         weights=chunk[:, to_target].ravel(), minlength=k * n).reshape(k, n)
-        diag = np.ones((k, n))
-        diag[:, diag_rows] = 1.0 - chunk[:, loop]
-        x = system.solve(diag, -chunk[:, off], b)
+        x = system.solve(*fill(chunk), b)
         # adding 0.0 turns a clamped -0.0 into 0.0
         out[lo:lo + k, unknown] = np.clip(x, 0.0, 1.0) + 0.0
     return out
@@ -124,31 +112,28 @@ def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nda
 def expected_visits(env: Environment, x, S) -> float:
     """Expected number of visits to x, started at x, before first leaving S.
 
-    Signals NoExit when no exit from S is reachable from x (the expectation
-    is infinite).
+    Only x's strongly connected component C within S leads back to x, so the
+    system runs over C, and a closed class elsewhere in S cannot make it
+    singular.  Signals NoExit when no edge leaves C (the walk surely returns
+    to x and the expectation is infinite).
     """
     S = sorted(set(S))
     if x not in S:
         raise ValueError(f"start {x!r} not in S")
     g = env.graph
     _check_vertices(g, S)
-    inside = np.zeros(len(g.vertices), dtype=bool)
-    inside[[g.index[v] for v in S]] = True
-    reached = np.array(g.reach([g.index[x]], inside.tolist()))
-    if not (reached[g.tails] & ~inside[g.cols]).any():
-        raise NoExit(f"the walk cannot leave {S!r} from {x!r}")
-
-    # the system runs over the part of S that x reaches inside S: a closed
-    # class elsewhere in S would make it singular
-    n = int(reached.sum())
-    where = np.cumsum(reached) - 1  # position within the reached part
-    keep = reached[g.tails] & reached[g.cols]
-    M = np.eye(n)
-    M[where[g.tails[keep]], where[g.cols[keep]]] -= env.probs[keep]
-    e = np.zeros(n)
-    e[where[g.index[x]]] = 1.0
-    y = _dense_solve(M, e)
-    return float(y[where[g.index[x]]])
+    ix = g.index[x]
+    within = list(map(set(S).__contains__, g.vertices))
+    comp = np.array(g.reach([ix], within)) & np.array(g.reach([ix], within, backward=True))
+    if not (comp[g.tails] & ~comp[g.cols]).any():
+        raise NoExit(f"the walk returns to {x!r} surely: no edge leaves its component in {S!r}")
+    where, system, fill = _system_on(g, comp)
+    e = np.zeros((1, system.n))
+    e[0, where[ix]] = 1.0
+    y = float(system.solve(*fill(env.probs[None]), e)[0, where[ix]])
+    if not y > 0.0:  # at least the visit at the start; a nan fails too
+        raise SingularSystem(f"expected visits solve gave {y:.3e}")
+    return y
 
 
 def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBracket:
@@ -216,39 +201,44 @@ def redirect_to(env: Environment, x, y) -> Environment:
 # --- linear algebra ----------------------------------------------------------
 
 
-class _System:
-    """A unit-diagonal system over the vertices ``unknown``: a diagonal plus
-    off-diagonal entries at (rows, cols), listed row by row.  It is banded
-    when the unknowns are consecutive integers with small bandwidth, and
-    dense otherwise."""
+def _system_on(g: WeightedDigraph, keep: np.ndarray) -> tuple:
+    """I - P over the vertex positions flagged in keep: each position's place
+    among the unknowns, the _System, and fill(probs), the (diag, vals) of the
+    rows of a (k, edges) matrix probs, with the loops on the diagonal."""
+    where = np.cumsum(keep) - 1
+    inner = keep[g.tails] & keep[g.cols]
+    loop = inner & (g.tails == g.cols)
+    off = np.flatnonzero(inner & ~loop)
+    loop = np.flatnonzero(loop)
+    system = _System(int(keep.sum()), where[g.tails[off]], where[g.cols[off]])
+    loop_rows = where[g.tails[loop]]
 
-    def __init__(self, unknown: list, rows: np.ndarray, cols: np.ndarray):
-        n = len(unknown)
+    def fill(probs):
+        diag = np.ones((len(probs), system.n))
+        diag[:, loop_rows] = 1.0 - probs[:, loop]
+        return diag, -probs[:, off]
+
+    return where, system, fill
+
+
+class _System:
+    """A unit-diagonal system of n unknowns: a diagonal plus off-diagonal
+    entries at the positions (rows, cols), listed row by row.  Every system
+    is one band matrix whose bandwidth is the largest |col - row|, up to
+    n - 1 when it is dense."""
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
         self.n, self.rows, self.cols = n, rows, cols
-        self.bw = bw = int(np.abs(cols - rows).max(initial=0))
-        self.banded = (
-            n > 50
-            and bw < n // 4
-            and all(isinstance(v, int) for v in unknown)
-            and unknown == list(range(unknown[0], unknown[0] + n))
-        )
-        if self.banded:
-            # the residual sums each row left to right, diagonal first
-            r_all = np.concatenate((np.arange(n), rows))
-            self.order = np.argsort(r_all, kind="stable")
-            self.r_all = r_all[self.order]
-            self.c_all = np.concatenate((np.arange(n), cols))[self.order]
+        self.bw = int(np.abs(cols - rows).max(initial=0))
+        # the residual sums each row left to right, diagonal first
+        r_all = np.concatenate((np.arange(n), rows))
+        self.order = np.argsort(r_all, kind="stable")
+        self.r_all = r_all[self.order]
+        self.c_all = np.concatenate((np.arange(n), cols))[self.order]
 
     def solve(self, diag: np.ndarray, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solutions of the k systems given by the rows of diag (k, n), vals
         (k, entries) and b (k, n), one solve each."""
-        if not self.banded:
-            x = np.empty_like(b)
-            for i in range(len(b)):
-                M = np.diag(diag[i])
-                M[self.rows, self.cols] = vals[i]
-                x[i] = _dense_solve(M, b[i])
-            return x
         n, bw, k = self.n, self.bw, len(b)
         ab = np.zeros((k, 2 * bw + 1, n))
         ab[:, bw] = diag
@@ -280,22 +270,6 @@ def _banded(bw: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_banded((bw, bw), ab, b)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystem(str(exc)) from exc
-
-
-def _dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense LU with one step of iterative refinement to RESIDUAL_TOL."""
-    try:
-        lu, piv = scipy.linalg.lu_factor(M)
-        x = scipy.linalg.lu_solve((lu, piv), b)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(str(exc)) from exc
-    resid = float(np.max(np.abs(M @ x - b)))
-    if resid > RESIDUAL_TOL:  # refinement cannot mend a nan
-        x = x + scipy.linalg.lu_solve((lu, piv), b - M @ x)
-        resid = float(np.max(np.abs(M @ x - b)))
-    if not resid <= RESIDUAL_TOL:  # a NaN residual fails too
-        raise SingularSystem(f"residual {resid:.3e} after refinement")
-    return x
 
 
 def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:

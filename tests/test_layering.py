@@ -22,3 +22,21 @@ def test_verify_uses_only_public_names():
                 and node.value.id in bound and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_scipy_linalg_only_through_solve_banded_in_solver():
+    # every exact system is one band LU: in rwde, scipy.linalg is reached
+    # only as scipy.linalg.solve_banded, and only in solver (an alias or a
+    # from-import of it counts as a use of its own)
+    src = pathlib.Path(verify.__file__).parent
+    uses = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                uses.update((path.stem, f"from {node.module} import {a.name}") for a in node.names)
+            elif isinstance(node, ast.Import):
+                uses.update((path.stem, f"import {a.name} as {a.asname}") for a in node.names
+                            if a.asname and a.name.startswith("scipy"))
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "scipy.linalg":
+                uses.add((path.stem, f"scipy.linalg.{node.attr}"))
+    assert sorted(uses) == [("solver", "scipy.linalg.solve_banded")]

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, bu
 from rwde.model import parse_alphas, validate_params
 from rwde.solver import (
     HittingProblem,
-    _dense_solve,
+    _System,
     escape_probability_bracket,
     expected_visits,
     hitting_probability,
@@ -171,13 +172,42 @@ def test_expected_visits_ignores_unreachable_closed_class():
     assert expected_visits(env, 0, [0, 1, 2]) == 2.0
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_expected_visits_reaching_a_closed_class_in_s():
+    # 0 leaves S through 3 or falls into the closed class {1, 2} inside S;
+    # only its component {0} leads back to 0, so 0 is visited once, and the
+    # closed class must not make the system singular
+    g = WeightedDigraph([(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
+    env = Environment.from_rows(g, {
+        0: ((1, 3), np.array([0.5, 0.5])),
+        1: ((2,), np.array([1.0])),
+        2: ((1,), np.array([1.0])),
+        3: ((3,), np.array([1.0])),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expected_visits(env, 0, [0, 1, 2]) == 1.0
+
+
+def test_expected_visits_rejects_a_non_positive_solution():
+    # from 38 the walk leaves S (through 12 -> 11) with a chance below the
+    # rounding of the rows' sums, so even an exact solve of these floats is
+    # negative (-1.9085); expected visits are at least 1
+    p = validate_params(1, 2, {-1: 0.5402508867090366, 0: 1.5387030276500022,
+                               1: 1.380852156855922, 2: 0.862542020412901})
+    g = build_window(p, 0, 54)
+    env = sample_environments(g, RngStream(80), 3)[0]
+    with pytest.raises(SingularSystem):
+        expected_visits(env, 38, [v for v in g.vertices if v != 11])
+
+
 def test_dense_solve_rejects_singular_system():
-    # the residual of an inf/nan solution is nan, which must fail the check
+    # exactly singular dense systems fail in the band LU, without a warning
     for M, b in (([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]), ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0])):
-        with pytest.raises(SingularSystem):
-            _dense_solve(np.array(M), np.array(b))
+        M = np.array(M)
+        rows, cols = np.nonzero(M - np.diag(np.diag(M)))
+        with warnings.catch_warnings(), pytest.raises(SingularSystem):
+            warnings.simplefilter("error")
+            _System(2, rows, cols).solve(np.diag(M)[None], M[rows, cols][None], np.array([b]))
 
 
 def test_expected_visits_matches_monte_carlo():
@@ -393,8 +423,9 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_
 
 
 def test_solver_and_suite_outputs_golden():
-    # recorded before the solvers moved to the graph's flat row layout; a
-    # deliberate change of any of these outputs must update the file openly
+    # recorded before the solvers moved to the graph's flat row layout (the
+    # harmonic suite before every system became one band LU); a deliberate
+    # change of any of these outputs must update the file openly
     for text, by_seed in GOLDEN["brackets"].items():
         p, _ = parse_alphas(text)
         g = build_halfline(p, 128)
@@ -409,7 +440,7 @@ def test_solver_and_suite_outputs_golden():
     assert hashlib.sha256(pi_items).hexdigest() == GOLDEN["closure"]["invariant_items_sha256"]
     sizes = {"reversal": {"replicas": 50}, "beta-law": {"replicas": 10, "window": 128},
              "derrw": {"steps": 500}, "loop-reversal": {"steps": 300},
-             "tournier": {"replicas": 2000}}
+             "tournier": {"replicas": 2000}, "harmonic": {"replicas": 100}}
     for name, kw in sizes.items():
         _, evidence = verify.run_suite(name, p, seed=5, **kw)
         assert cli.dumps(evidence) == GOLDEN["suites"][name], name
@@ -610,9 +641,9 @@ def _assert_batch_matches(g, target, taboo, probs, entries, tol=1e-10):
 @settings(max_examples=150, deadline=None)
 @given(_small_environments(), st.data(), st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32))
 def test_batched_hitting_matches_per_environment_calls_dense(env, data, k, entries, seed):
-    # small graphs take the dense path; the batch is solved a few rows at a
-    # time (entries) and must give the single solves' floats, or raise as
-    # they do
+    # small graphs give systems of any bandwidth; the batch is solved a few
+    # rows at a time (entries) and must give the single solves' floats, or
+    # raise as they do
     g = env.graph
     verts = list(g.vertices)
     target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
@@ -632,7 +663,7 @@ def test_batched_hitting_raises_unreachable_boundary_as_single_solves():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.integers(51, 160), st.integers(1, 8), st.integers(1, 600))
 def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W, k, entries):
-    # half-lines of more than 50 unknowns take the banded path
+    # half-lines of more than 50 unknowns: long systems of a narrow band
     from rwde import solver
     from rwde.model import derive_params
     from conftest import random_params
