@@ -200,11 +200,8 @@ def sample_environment(g: WeightedDigraph, rng) -> Environment:
 
 def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
     """n independent environments from a single generator, so the output is
-    a pure function of (stream, n): the rows of sample_rows for n > 1, and of
-    sample_stream_rows for n == 1.
-    """
-    rows = sample_stream_rows(g, [rng]) if n == 1 else sample_rows(g, rng, n)
-    return [Environment(g, row) for row in rows]
+    a pure function of (stream, n): the rows of sample_rows."""
+    return [Environment(g, row) for row in sample_rows(g, rng, n)]
 
 
 def _check_out_edges(g: WeightedDigraph) -> None:
@@ -254,42 +251,6 @@ def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
                 gen.bit_generator.state = state
                 rows = np.concatenate([_gamma_rows(gen, a, n) for _ in range(m)])
             out[:, ptr[v]:ptr[v + m]] = rows.reshape(m, n, a.size).transpose(1, 0, 2).reshape(n, m * a.size)
-    return out
-
-
-def sample_stream_rows(g: WeightedDigraph, rngs) -> np.ndarray:
-    """One environment on g per RngStream or Generator in rngs: a
-    (len(rngs), edges) matrix whose row j, in the order of ``g.edges()``, is
-    the environment ``sample_environments(g, rngs[j], 1)`` draws.
-
-    A stream draws every row that is not a lone self-loop in one gamma call
-    over the joined shape vectors (the variates of the per-vertex calls), and
-    each row is divided by its own sum.  A stream with a row that underflows
-    to zeros is rewound and drawn by sample_rows instead, which redraws and
-    counts such rows.
-    """
-    _check_out_edges(g)
-    gens = [_as_generator(r) for r in rngs]
-    # a Generator passed in is rewound through its state, a stream re-seeded
-    states = {i: gen.bit_generator.state for i, gen in enumerate(gens) if gen is rngs[i]}
-    a = g.weights[g.drawn]
-    out = np.ones((len(gens), g.weights.size))
-    for i, gen in enumerate(gens):
-        out[i, g.drawn] = gen.standard_gamma(a)
-    bad = set()
-    for _, flat in g.row_groups:
-        rows = out[:, flat]
-        sums = rows.sum(axis=2, keepdims=True)  # as each row's own sum() adds
-        if not sums.all():
-            zero = sums == 0.0
-            bad.update(np.flatnonzero(zero.any(axis=(1, 2))).tolist())
-            sums[zero] = 1.0
-        out[:, flat] = rows / sums
-    for i in sorted(bad):
-        if i in states:
-            gens[i].bit_generator.state = states[i]
-        out[i] = sample_rows(g, rngs[i], 1)[0]
-    out[out == 0.0] = _MIN_POSITIVE
     return out
 
 

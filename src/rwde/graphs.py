@@ -25,7 +25,7 @@ class WeightedDigraph:
     """
 
     __slots__ = ("vertices", "index", "pos", "indptr", "tails", "cols", "weights", "by_head",
-                 "head_ptr", "row_groups", "drawn", "_heads", "_strong", "_rev")
+                 "head_ptr", "row_groups", "_heads", "_strong", "_rev", "_adj")
 
     def __init__(self, edges, vertices=()):
         import numpy as np
@@ -53,9 +53,7 @@ class WeightedDigraph:
         # np.unique: its sort maps 0.4 MB more of numpy into the process.
         rows = [np.flatnonzero(deg == d) for d in sorted(set(deg.tolist()))]
         self.row_groups = [(r, self.indptr[r, None] + np.arange(deg[r[0]])) for r in rows]
-        # the entries a Dirichlet sampler draws: all but lone self-loop rows
-        self.drawn = np.flatnonzero(~((deg == 1)[self.tails] & (self.tails == self.cols)))
-        self._heads = self._strong = self._rev = None
+        self._heads = self._strong = self._rev = self._adj = None
 
     def _edges_at(self, flat, ends) -> dict:
         return dict(zip(map(self.vertices.__getitem__, ends[flat].tolist()),
@@ -115,10 +113,10 @@ class WeightedDigraph:
         """Flags over vertex positions: reachable from the positions in
         sources (with backward, reaching them), stepping only onto positions
         flagged in within (default all)."""
-        if backward:
-            ptr, nbrs = self.head_ptr.tolist(), self.tails[self.by_head].tolist()
-        else:
-            ptr, nbrs = self.indptr.tolist(), self.cols.tolist()
+        if self._adj is None:  # (row pointers, neighbours) as lists, built once
+            self._adj = ((self.indptr.tolist(), self.cols.tolist()),
+                         (self.head_ptr.tolist(), self.tails[self.by_head].tolist()))
+        ptr, nbrs = self._adj[backward]
         seen = [False] * (len(ptr) - 1)
         for z in sources:
             seen[z] = True

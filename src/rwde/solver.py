@@ -73,14 +73,31 @@ def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nda
     """hitting_probability for k environments on g: row j of the (k, edges)
     matrix probs is environment j in ``g.edges()`` order, and row j of the
     result its values in ``g.vertices`` order; ValueError names target or
-    taboo members that are not vertices.  The masks, the reachability check
-    and the system's structure are set up once; each row is then filled,
-    solved, checked and clamped as a solve of its own."""
+    taboo members that are not vertices.  The masks, the reachability
+    classes and the system's structure are set up once; each row is then
+    filled, solved, checked and clamped as a solve of its own.
+
+    Every probability is positive, so which values are 0 or 1 is a property
+    of the graph (Prob0/Prob1, Baier-Katoen, Principles of Model Checking):
+    a vertex that cannot reach the target has h = 0, and one that cannot
+    reach the taboo has h = 1 (every vertex it can reach reaches the
+    target).  Only the other vertices are solved for: a region that surely
+    hits the target can make the system ill-conditioned, and its solve can
+    pass the residual check with values off in the fifth digit."""
     _check_vertices(g, [*target, *taboo])
-    # 0: unknown, 1: target, 2: taboo
+    # 0: unknown, 1: target or surely hits it, 2: taboo or never hits the target
     kind = np.zeros(len(g.vertices), dtype=np.int8)
     for k, part in ((1, target), (2, taboo)):
         kind[[g.index[v] for v in part]] = k
+    inner = (kind == 0).tolist()
+    hits, meets = (np.array(g.reach(np.flatnonzero(kind == k).tolist(), inner, backward=True))
+                   for k in (1, 2))
+    missing = np.flatnonzero((kind == 0) & ~hits & ~meets)
+    if missing.size:
+        raise UnreachableBoundary("no path to target/taboo from "
+                                  f"{[g.vertices[i] for i in missing[:5].tolist()]!r}")
+    kind[(kind == 0) & ~meets] = 1
+    kind[(kind == 0) & ~hits] = 2
     out = np.zeros((len(probs), len(g.vertices)))
     out[:, kind == 1] = 1.0
     unknown = np.flatnonzero(kind == 0)
@@ -88,11 +105,6 @@ def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nda
         return out
 
     n = unknown.size
-    if n == len(g.vertices) or not g.strongly_connected():
-        seen = g.reach(np.flatnonzero(kind).tolist(), backward=True)
-        missing = [g.vertices[i] for i in unknown.tolist() if not seen[i]]
-        if missing:
-            raise UnreachableBoundary(f"no path to target/taboo from {missing[:5]!r}")
     where, system, fill = _system_on(g, kind == 0)
     to_target = np.flatnonzero((kind[g.tails] == 0) & (kind[g.cols] == 1))
     b_rows = where[g.tails[to_target]]

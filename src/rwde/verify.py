@@ -17,7 +17,6 @@ from .environment import (
     RngStream,
     sample_environment,
     sample_rows,
-    sample_stream_rows,
 )
 from .errors import UnreachableBoundary
 from .graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
@@ -57,8 +56,7 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int,
     follow the beta law with parameters (kappa1, d-)."""
     dp = derive_params(p)
     g = build_halfline(p, window)
-    # the environments of sample_environments (for n == 1 the one-call draw
-    # gives the same floats), bracketed in one batch
+    # the environments of sample_environments, bracketed in one batch
     lower, upper = solver.escape_brackets(p, g, sample_rows(g, RngStream(seed), replicas))
     mids = 0.5 * (lower + upper)  # EscapeBracket.midpoint and width
     widths = upper - lower
@@ -152,29 +150,26 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     distributional match: reversing sampled environments against sampling
     directly on the edge-reversed graph, first/second moments within 3 SE.
 
-    Batch layout: environment i of part j comes from stream (j, i) and is row
-    i of an (environments, edges) matrix.  Parts 0 (n_envs, cycles drawn
-    from stream (1, i)) and 2 (draws) live on the closure and are reversed
-    in one ``solver.reverse_rows`` call each; part 3 lives on the reversed one.
+    Batch layout: part j is one (environments, edges) matrix, drawn by
+    ``sample_rows`` from stream (j,).  Parts 0 (n_envs, their cycles drawn
+    in turn from stream (1,)) and 2 (draws) live on the closure and are
+    reversed in one ``solver.reverse_rows`` call each; part 3 lives on the
+    reversed one.
     """
     if draws < 2:
         raise ValueError(f"the moment comparison needs at least 2 draws, got {draws}")
     g = build_drift_closure(p, M)
     gr = g.reversed()
     base = RngStream(seed)
-
-    def sample(graph, part, count):
-        return sample_stream_rows(graph, [base.substream(part, i) for i in range(count)])
-
-    fwd = sample(g, 0, n_envs)
+    fwd = sample_rows(g, base.substream(0), n_envs)
     # reversed probabilities indexed by the forward edge they reverse: gr's
     # edges sorted by head, then tail, are g's edges in g's order
     bwd = solver.reverse_rows(g, fwd)[:, gr.by_head]
     ptr, cols = g.indptr.tolist(), g.cols.tolist()
     heads = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
     max_cycle_err = 0.0
-    for f, r, i in zip(fwd.tolist(), bwd.tolist(), range(n_envs)):
-        getrandbits = base.substream(1, i).python_random().getrandbits
+    getrandbits = base.substream(1).python_random().getrandbits
+    for f, r in zip(fwd.tolist(), bwd.tolist()):
         for _ in range(n_cycles):
             edges = _random_cycle(ptr, heads, getrandbits)
             if edges is None:
@@ -185,8 +180,8 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
             max_cycle_err = max(max_cycle_err, abs(p_fwd - p_bwd))
 
     # one column per reversed edge, in the order of gr.edges()
-    a = solver.reverse_rows(g, sample(g, 2, draws))
-    b = sample(gr, 3, draws)
+    a = solver.reverse_rows(g, sample_rows(g, base.substream(2), draws))
+    b = sample_rows(gr, base.substream(3), draws)
     worst_z = 0.0
     for mat_a, mat_b in ((a, b), (a * a, b * b)):
         diff = np.abs(mat_a.mean(axis=0) - mat_b.mean(axis=0))
@@ -278,7 +273,6 @@ def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tu
     """Redirecting one site to jump surely to a no-worse site never lowers
     any hitting probability."""
     rnd = RngStream(seed).python_random()
-    gen = RngStream(seed, (1,)).generator()
     done = 0
     worst_drop = 0.0
     attempts = 0

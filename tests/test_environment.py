@@ -266,9 +266,9 @@ def _sampling_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_sampling_graphs(), st.integers(0, 2**32))
 def test_single_environment_matches_per_vertex_reference(g, seed):
-    # n == 1 draws every row in one gamma call and normalises rows grouped
-    # by length; it must give the per-vertex floats byte for byte, sums of 8
-    # or more entries included, and fall back (counting redraws) on underflow
+    # one environment is drawn as any batch is, by runs of equal rows; it
+    # must give the per-vertex floats byte for byte, sums of 8 or more
+    # entries included, and redraw (and count) rows that underflow
     stream = RngStream(seed, (3,))
     expected, redraws = _per_vertex_reference(g, stream.generator())
     before = resample_count()

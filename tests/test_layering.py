@@ -40,3 +40,22 @@ def test_scipy_linalg_only_through_solve_banded_in_solver():
             elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "scipy.linalg":
                 uses.add((path.stem, f"scipy.linalg.{node.attr}"))
     assert sorted(uses) == [("solver", "scipy.linalg.solve_banded")]
+
+
+def test_standard_gamma_only_in_gamma_rows():
+    # one environment sampler: in rwde, every gamma variate is drawn inside
+    # environment._gamma_rows, so every batch shares its redraw and clamp
+    src = pathlib.Path(verify.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)  # the outermost function
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "standard_gamma":
+                calls.append((path.stem, owner.get(node)))
+    assert calls and set(calls) == {("environment", "_gamma_rows")}

@@ -17,7 +17,7 @@ from rwde.environment import (
     RngStream,
     sample_environment,
     sample_environments,
-    sample_stream_rows,
+    sample_rows,
 )
 from rwde.errors import NoExit, NotStronglyConnected, SingularSystem, UnreachableBoundary
 from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
@@ -98,6 +98,24 @@ def test_hitting_unreachable_boundary():
     env = Environment.from_rows(g, rows)
     with pytest.raises(UnreachableBoundary):
         hitting_probability(HittingProblem(env, frozenset([0]), frozenset()))
+
+
+def test_hitting_relatively_accurate_beside_a_sure_region():
+    # sites 0-5 reach the taboo 8 only through the target 6, so h = 1 there;
+    # they reach 6 only through steps of probability 1.0e-3 and 1.7e-5, and
+    # solving for them anyway put h(7) 5.7e-5 off while passing the residual
+    # check.  From 7 the walk jumps to 5, 6, 7 or 8, so h(7) is exact in
+    # fractions of its own row.
+    from fractions import Fraction
+
+    p = validate_params(2, 1, {-2: 1.0990082245445978, -1: 0.7463830502972442,
+                               0: 0.33587285203753964, 1: 0.22828147810405125})
+    env = sample_environment(build_window(p, 0, 8), RngStream(8, (2, 954)))
+    h = hitting_probability(HittingProblem(env, frozenset({6}), frozenset({8})))
+    q = {y: Fraction(env.prob(7, y)) for y in (5, 6, 8)}
+    exact = (q[5] + q[6]) / (q[5] + q[6] + q[8])
+    assert [h[x] for x in range(6)] == [1.0] * 6
+    assert abs(Fraction(h[7]) - exact) <= Fraction(1, 10**12) * exact
 
 
 def test_harmonic_surgery_never_lowers_values():
@@ -337,11 +355,12 @@ def test_invariant_measure_requires_strong_connectivity():
 
 
 def _closure_rows(alphas, part, indices):
-    """The reversal suite's seed-1 environments of one part on the M = 6
-    closure of alphas, as a graph and its (environments, edges) matrix."""
+    """Environments on the M = 6 closure of alphas, environment i drawn
+    alone from the seed-1 stream (part, i), as a graph and its
+    (environments, edges) matrix."""
     p, _ = parse_alphas(alphas)
     g = build_drift_closure(p, 6)
-    return g, sample_stream_rows(g, [RngStream(1).substream(part, i) for i in indices])
+    return g, np.concatenate([sample_rows(g, RngStream(1).substream(part, i), 1) for i in indices])
 
 
 def test_stationary_rows_relatively_accurate_on_small_weights():
@@ -424,8 +443,9 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_
 
 def test_solver_and_suite_outputs_golden():
     # recorded before the solvers moved to the graph's flat row layout (the
-    # harmonic suite before every system became one band LU); a deliberate
-    # change of any of these outputs must update the file openly
+    # reversal suite since it draws each part from one stream, the harmonic
+    # suite since values surely 0 or 1 are no longer solved for); a
+    # deliberate change of any of these outputs must update the file openly
     for text, by_seed in GOLDEN["brackets"].items():
         p, _ = parse_alphas(text)
         g = build_halfline(p, 128)
@@ -447,9 +467,9 @@ def test_solver_and_suite_outputs_golden():
 
 
 def test_wide_support_reversal_golden():
-    # recorded before the reversal suite was batched: with L >= 2 the rows
-    # have 4-5 entries, where a different summation order or a batched LU
-    # would change the last bits
+    # recorded when the reversal suite came to draw each part from one
+    # stream: with L >= 2 the rows have 4-5 entries, where a different
+    # summation order or a batched LU would change the last bits
     for text, evidence in GOLDEN["reversal_wide"].items():
         p, _ = parse_alphas(text)
         _, ev = verify.run_suite("reversal", p, seed=5, replicas=50)
