@@ -230,14 +230,16 @@ def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
     such rows where the per-vertex calls would."""
     _check_out_edges(g)
     gen = _as_generator(rng)
-    out = np.ones((n, g.weights.size))
+    out = np.empty((n, g.weights.size))
     ptr, weights = g.indptr.tolist(), g.weights.tolist()
     runs, prev = [], None
     for i, (x, heads) in enumerate(g.heads.items()):
-        row = None if heads == (x,) else weights[ptr[i]:ptr[i + 1]]  # lone self-loops stay 1
-        if row is not None and row == prev:
+        row = None if heads == (x,) else weights[ptr[i]:ptr[i + 1]]
+        if row is None:
+            out[:, ptr[i]] = 1.0  # a lone self-loop is certain
+        elif row == prev:
             runs[-1][1] = i + 1
-        elif row is not None:
+        else:
             runs.append([i, i + 1])
         prev = row
     step = max(1, _RUN_ROWS // max(n, 1))
@@ -250,7 +252,8 @@ def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
             if rows is None:
                 gen.bit_generator.state = state
                 rows = np.concatenate([_gamma_rows(gen, a, n) for _ in range(m)])
-            out[:, ptr[v]:ptr[v + m]] = rows.reshape(m, n, a.size).transpose(1, 0, 2).reshape(n, m * a.size)
+            np.copyto(out[:, ptr[v]:ptr[v + m]].reshape(n, m, a.size),
+                      rows.reshape(m, n, a.size).transpose(1, 0, 2))
     return out
 
 

@@ -7,8 +7,6 @@ comparisons use 3 or 4 standard errors as stated per suite.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import solver, stats, walk
@@ -151,8 +149,8 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     directly on the edge-reversed graph, first/second moments within 3 SE.
 
     Batch layout: part j is one (environments, edges) matrix, drawn by
-    ``sample_rows`` from stream (j,).  Parts 0 (n_envs, their cycles drawn
-    in turn from stream (1,)) and 2 (draws) live on the closure and are
+    ``sample_rows`` from stream (j,).  Parts 0 (n_envs, their cycles walked
+    together on stream (1,)) and 2 (draws) live on the closure and are
     reversed in one ``solver.reverse_rows`` call each; part 3 lives on the
     reversed one.
     """
@@ -165,19 +163,8 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     # reversed probabilities indexed by the forward edge they reverse: gr's
     # edges sorted by head, then tail, are g's edges in g's order
     bwd = solver.reverse_rows(g, fwd)[:, gr.by_head]
-    ptr, cols = g.indptr.tolist(), g.cols.tolist()
-    heads = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
-    max_cycle_err = 0.0
-    getrandbits = base.substream(1).python_random().getrandbits
-    for f, r in zip(fwd.tolist(), bwd.tolist()):
-        for _ in range(n_cycles):
-            edges = _random_cycle(ptr, heads, getrandbits)
-            if edges is None:
-                continue
-            # products left to right; the reversed cycle runs the edges backwards
-            p_fwd = math.prod(map(f.__getitem__, edges))
-            p_bwd = math.prod(map(r.__getitem__, reversed(edges)))
-            max_cycle_err = max(max_cycle_err, abs(p_fwd - p_bwd))
+    p_fwd, p_bwd = _cycle_products(g, fwd, bwd, n_cycles, base.substream(1).generator())
+    max_cycle_err = float(np.max(np.abs(p_fwd - p_bwd), initial=0.0))  # a NaN fails
 
     # one column per reversed edge, in the order of gr.edges()
     a = solver.reverse_rows(g, sample_rows(g, base.substream(2), draws))
@@ -190,7 +177,7 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
         if np.any(diff[det] > 0.0):
             worst_z = float("inf")
         if np.any(~det):
-            worst_z = max(worst_z, float(np.max(diff[~det] / se[~det])))
+            worst_z = float(np.max(diff[~det] / se[~det], initial=worst_z))  # a NaN fails
 
     passed = max_cycle_err <= 1e-10 and worst_z <= 3.0
     return passed, {
@@ -203,31 +190,39 @@ def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
     }
 
 
-def _randbelow(getrandbits, n: int, k: int) -> int:
-    """``Random.randrange(n)`` for n >= 1 with k = n.bit_length(): CPython's
-    rejection loop over getrandbits(k), without randrange's call layers."""
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _random_cycle(ptr: list, heads: list, getrandbits, max_len: int = 64):
-    """Flat positions of the edges of a random closed walk (up to 32 tries
-    of max_len uniform steps), or None; ptr and heads are the layout's row
-    pointers and head positions, and each choice draws as randrange would."""
-    n = len(heads)
-    for _ in range(32):
-        x = start = _randbelow(getrandbits, n, n.bit_length())
-        edges = []
-        for _ in range(max_len):
-            hx = heads[x]
-            r = _randbelow(getrandbits, len(hx), len(hx).bit_length())
-            edges.append(ptr[x] + r)
-            x = hx[r]
-            if x == start:
-                return edges
-    return None
+def _cycle_products(g: WeightedDigraph, fwd: np.ndarray, bwd: np.ndarray, n_cycles: int,
+                    gen: np.random.Generator, max_len: int = 64):
+    """Products of fwd and of bwd ((environments, edges), g's edge order)
+    along n_cycles random closed walks per environment, as a (2, cycles)
+    array.  The walks step in lockstep: each of up to 32 tries starts every
+    open walk at a uniform vertex for up to max_len uniform out-edges, and a
+    walk back at its start is a cycle; one open after the last gives none."""
+    # a step from x draws u below span, a multiple of every out-degree, and
+    # takes x's out-edge u % deg(x), tabulated at x * span + u
+    deg = np.diff(g.indptr)
+    span = int(np.lcm.reduce(deg))
+    edge_of = (g.indptr[:-1, None] + np.arange(span) % deg[:, None]).ravel()
+    head_of = g.cols[edge_of] * span
+    walks = np.repeat(np.arange(fwd.shape[0]) * fwd.shape[1], n_cycles)  # each row's offset
+    cycles = [np.empty((2, 0))]
+    for t in range(32 * max_len):
+        if not walks.size:
+            break
+        if t % max_len == 0:  # a new try for every open walk
+            at = start = gen.integers(deg.size, size=walks.size) * span
+            p_fwd, p_bwd = np.ones(walks.size), np.ones(walks.size)
+        step = at + gen.integers(span, size=at.size)
+        e = walks + edge_of[step]
+        p_fwd *= fwd.take(e)  # take indexes the flattened rows
+        p_bwd *= bwd.take(e)
+        at = head_of[step]
+        home = at == start
+        if home.any():
+            cycles.append((p_fwd[home], p_bwd[home]))
+            away = ~home
+            walks, at, start = walks[away], at[away], start[away]
+            p_fwd, p_bwd = p_fwd[away], p_bwd[away]
+    return np.concatenate(cycles, axis=1)
 
 
 # --- loop reversal -----------------------------------------------------------
@@ -331,6 +326,8 @@ def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tu
 
 # --- trap-moment exponent ----------------------------------------------------
 
+_TOURNIER_CHUNK = 4096  # environments per batched solve in tournier_exponent
+
 
 def tournier_graph() -> WeightedDigraph:
     """Five vertices including the sink 4.  The only strongly connected
@@ -355,18 +352,17 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
     # rows of the transient vertices 0-3, then the sink's certain self-loop
     flat = sample_rows(g, RngStream(seed), n_envs)
     inner = (g.tails < 4) & (g.cols < 4)
-    mats = np.tile(np.eye(4), (n_envs, 1, 1))
-    mats[:, g.tails[inner], g.cols[inner]] -= flat[:, inner]
-    e0 = np.zeros((4, 1))
-    e0[0, 0] = 1.0
-    sols = np.linalg.solve(mats, np.broadcast_to(e0, (n_envs, 4, 1)))
-    samples = sols[:, 0, 0]
+    e0 = np.broadcast_to(np.eye(4)[:, :1], (_TOURNIER_CHUNK, 4, 1))
+    samples = np.empty(n_envs)
+    # in chunks, to bound the matrices; LAPACK solves each system on its own
+    for first in range(0, n_envs, _TOURNIER_CHUNK):
+        mats = np.tile(np.eye(4), (min(_TOURNIER_CHUNK, n_envs - first), 1, 1))
+        mats[:, g.tails[inner], g.cols[inner]] -= flat[first:first + len(mats), inner]
+        samples[first:first + len(mats)] = np.linalg.solve(mats, e0[:len(mats)])[:, 0, 0]
 
-    # cross-check a few entries against the scalar solver path
-    max_dev = 0.0
-    for k in range(min(3, n_envs)):
-        ref = solver.expected_visits(Environment(g, flat[k]), 0, [0, 1, 2, 3])
-        max_dev = max(max_dev, float(abs(ref - samples[k])))
+    # cross-check a few entries against the scalar solver path (a NaN fails)
+    refs = [solver.expected_visits(Environment(g, row), 0, [0, 1, 2, 3]) for row in flat[:3]]
+    max_dev = float(np.max(np.abs(np.subtract(refs, samples[:len(refs)])), initial=0.0))
 
     k = stats.default_hill_k(n_envs)
     estimate = stats.hill_estimator(samples, k)

@@ -443,7 +443,7 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_
 
 def test_solver_and_suite_outputs_golden():
     # recorded before the solvers moved to the graph's flat row layout (the
-    # reversal suite since it draws each part from one stream, the harmonic
+    # reversal suite since it walks its cycles in lockstep, the harmonic
     # suite since values surely 0 or 1 are no longer solved for); a
     # deliberate change of any of these outputs must update the file openly
     for text, by_seed in GOLDEN["brackets"].items():
@@ -468,8 +468,9 @@ def test_solver_and_suite_outputs_golden():
 
 def test_wide_support_reversal_golden():
     # recorded when the reversal suite came to draw each part from one
-    # stream: with L >= 2 the rows have 4-5 entries, where a different
-    # summation order or a batched LU would change the last bits
+    # stream, and checked again when it came to walk its cycles in lockstep:
+    # with L >= 2 the rows have 4-5 entries, where a different summation
+    # order or a batched LU would change the last bits
     for text, evidence in GOLDEN["reversal_wide"].items():
         p, _ = parse_alphas(text)
         _, ev = verify.run_suite("reversal", p, seed=5, replicas=50)
@@ -514,46 +515,116 @@ def test_beta_law_brackets_the_environments_of_sample_environments():
             assert ev["mean_bracket_width"] == float(np.mean([b.width for b in brs]))
 
 
-def test_cycle_draw_matches_randrange():
-    # the reversal suite draws its cycles through getrandbits tables; each
-    # draw must be the one Random.randrange(n) makes, rejections included
-    for n in range(1, 10):
-        ref, rnd = random.Random(n), random.Random(n)
-        expected = [ref.randrange(n) for _ in range(10_000)]
-        assert [verify._randbelow(rnd.getrandbits, n, n.bit_length())
-                for _ in range(10_000)] == expected, n
-        assert ref.random() == rnd.random()  # the same bits were consumed
+def _skewed_closure():
+    """The M = 6 closure of -1:1,1:2 with p(x, y) proportional to 8^(y - x):
+    its stationary vector spans several orders of magnitude."""
+    p, _ = parse_alphas("-1:1,1:2")
+    g = build_drift_closure(p, 6)
+    w = 8.0 ** (g.cols - g.tails)
+    return g, (w / np.repeat(np.add.reduceat(w, g.indptr[:-1]), np.diff(g.indptr)))[None]
 
 
-def _reference_cycle(g, rnd, max_len=64):
-    """The reversal suite's cycle walk on randrange: vertices and heads."""
-    verts = g.vertices
-    for _ in range(32):
-        start = verts[rnd.randrange(len(verts))]
-        path = [start]
-        x = start
-        for _ in range(max_len):
-            heads = sorted(g.out_edges(x))
-            x = heads[rnd.randrange(len(heads))]
-            path.append(x)
-            if x == start:
-                return path
-    return None
+def test_cycle_products_close_their_walks():
+    # the reversed environment keeps the product of every closed walk; along
+    # an open walk from s to t the two products differ by pi(t) / pi(s)
+    g, fwd = _skewed_closure()
+    pi = stationary_rows(g, fwd)
+    assert pi.max() / pi.min() > 1e3
+    bwd = reverse_rows(g, fwd)[:, g.reversed().by_head]
+    p_fwd, p_bwd = verify._cycle_products(g, np.repeat(fwd, 3, axis=0), np.repeat(bwd, 3, axis=0),
+                                          2000, RngStream(3).generator())
+    assert p_fwd.size > 5900
+    assert np.all(np.abs(p_fwd - p_bwd) <= 1e-12 * p_fwd)
 
 
-def test_random_cycle_tables_match_randrange_walk():
-    for text in ("-1:1,1:2", "-2:0.7,-1:0.4,0:0.3,2:1.1,3:0.9"):
-        p, _ = parse_alphas(text)
-        for g in (build_drift_closure(p, 6), build_window(p, 0, 5)):
-            pos, ptr = g.pos, g.indptr.tolist()
-            heads = [g.cols[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
-            for seed in range(5):
-                ref, rnd = random.Random(seed), random.Random(seed)
-                for _ in range(50):
-                    cyc = _reference_cycle(g, ref)
-                    edges = verify._random_cycle(ptr, heads, rnd.getrandbits)
-                    want = None if cyc is None else [pos[t, h] for t, h in zip(cyc, cyc[1:])]
-                    assert edges == want
+def test_cycle_lengths_follow_the_first_return_law():
+    # with every entry 1/2 a cycle's product is 2^-length; a cycle starts at
+    # a uniform vertex, steps along uniform out-edges and is the first return
+    # within 64 steps, so its length is 2 with the chance sum_s f2(s) / sum_s F(s)
+    p, _ = parse_alphas("-1:1,1:2")
+    g = build_drift_closure(p, 6)
+    n = len(g.vertices)
+    U = np.zeros((n, n))
+    U[g.tails, g.cols] = 1.0 / np.diff(g.indptr)[g.tails]
+    f2 = returned = 0.0
+    for s in range(n):
+        rest = [y for y in range(n) if y != s]
+        returned += U[s, s]
+        away = U[s, rest]  # mass still away from s after each step
+        for k in range(2, 65):
+            first = away @ U[rest, s]
+            f2 += first if k == 2 else 0.0
+            returned += first
+            away = away @ U[np.ix_(rest, rest)]
+    expected = f2 / returned
+    half = np.full((10, g.weights.size), 0.5)
+    p_fwd, _ = verify._cycle_products(g, half, half, 1000, RngStream(16).generator())
+    lengths = -np.log2(p_fwd)
+    assert np.all(lengths == np.round(lengths)) and lengths.min() >= 1 and lengths.max() <= 64
+    freq = np.mean(lengths == 2)
+    se = math.sqrt(expected * (1.0 - expected) / lengths.size)
+    assert abs(freq - expected) <= 4.0 * se, (freq, expected, se)
+
+
+class _CountingGenerator:
+    """A Generator that records the bound of each integers() call."""
+
+    def __init__(self, gen):
+        self.gen, self.highs = gen, []
+
+    def integers(self, high, size=None):
+        self.highs.append(high)
+        return self.gen.integers(high, size=size)
+
+
+def test_cycle_products_give_up_after_32_tries(monkeypatch):
+    # on a directed ring of 70 vertices every first return takes 70 steps
+    ring = WeightedDigraph([(i, (i + 1) % 70, 1.0) for i in range(70)])
+    ones = np.ones((2, 70))
+    gen = _CountingGenerator(RngStream(1).generator())
+    p_fwd, p_bwd = verify._cycle_products(ring, ones, ones, 5, gen)
+    assert p_fwd.size == p_bwd.size == 0
+    # each try draws the starts (below 70), then 64 steps (below 1)
+    assert gen.highs == ([70] + [1] * 64) * 32
+    # no cycle at all is no cycle error
+    monkeypatch.setattr(verify, "build_drift_closure", lambda p, M: ring)
+    passed, ev = verify.time_reversal(NN, draws=10, seed=1, n_envs=2, n_cycles=5)
+    assert passed and ev["max_cycle_error"] == 0.0
+
+
+@pytest.mark.parametrize("part", [0, 2])
+def test_nan_reversed_entry_fails_the_reversal_suite(monkeypatch, part):
+    # part 0: the cycle environments, where bwd[0, 0] becomes NaN; part 2:
+    # the moment draws; max() would keep the old value past a NaN
+    p, _ = parse_alphas("-1:1,1:2")
+    by_head = build_drift_closure(p, 6).reversed().by_head
+    real, calls = reverse_rows, []
+
+    def poisoned(g, probs):
+        out = real(g, probs)
+        if len(calls) == part // 2:
+            out[0, by_head[0]] = np.nan
+        calls.append(probs.shape)
+        return out
+
+    monkeypatch.setattr(verify.solver, "reverse_rows", poisoned)
+    passed, ev = verify.time_reversal(p, draws=50, seed=5)
+    key = "max_cycle_error" if part == 0 else "worst_moment_z"
+    assert math.isnan(ev[key]) and not passed
+
+
+def test_nan_visits_fail_the_tournier_cross_check(monkeypatch):
+    monkeypatch.setattr(verify.solver, "expected_visits", lambda env, x, S: math.nan)
+    passed, ev = verify.tournier_exponent(n_envs=500, seed=4)
+    assert math.isnan(ev["solver_cross_check_dev"]) and not passed
+
+
+def test_tournier_chunked_solve_is_bit_identical(monkeypatch):
+    # LAPACK solves each 4x4 system of the batch on its own
+    _, whole = verify.tournier_exponent(n_envs=500, seed=4)
+    monkeypatch.setattr(verify, "_TOURNIER_CHUNK", 7)
+    _, chunked = verify.tournier_exponent(n_envs=500, seed=4)
+    assert chunked == whole
 
 
 def _bfs(succ, sources):
