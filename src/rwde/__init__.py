@@ -4,15 +4,12 @@ algebra, and seeded Monte Carlo verification of the model's structural
 identities.
 """
 
-from .environment import Environment, RngStream, amalgamate, sample_dirichlet, sample_environment
+from .environment import Environment, RngStream, sample_environment
 from .graphs import (
-    DivergenceReport,
     WeightedDigraph,
-    build_balanced_closure,
     build_drift_closure,
     build_halfline,
     build_window,
-    divergence_report,
     strongly_connected,
 )
 from .kappa import (
@@ -57,7 +54,6 @@ from .walk import (
     MeanHittingEstimate,
     Trajectory,
     VelocityEstimate,
-    WalkStats,
     annealed_path_probability,
     estimate_mean_hitting,
     estimate_velocity,
@@ -65,8 +61,6 @@ from .walk import (
     simulate_derrw,
     simulate_derrw_batch,
     simulate_line,
-    simulate_quenched,
-    trajectory_stats,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,5 @@
-"""Sampling of Dirichlet environments on finite graphs, reproducible
-counter-based random streams, and the simplex utilities (amalgamation,
-restriction checks) used throughout the verification suites.
+"""Sampling of Dirichlet environments on finite graphs and reproducible
+counter-based random streams.
 """
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import BadPartition, IsolatedVertex, NonpositiveConcentration
+from .errors import IsolatedVertex
 from .graphs import WeightedDigraph, _check_vertices
 
 _U64 = (1 << 64) - 1
@@ -62,24 +61,13 @@ def _as_generator(rng) -> Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def sample_dirichlet(concentrations, rng) -> np.ndarray:
-    """One draw from the Dirichlet law via normalized Gamma(a_i, 1) variates.
-
-    Rows containing an exact floating-point zero (gamma underflow at small
-    shapes) are redrawn; see resample_count().
-    """
-    gen = _as_generator(rng)
-    a = np.asarray(concentrations, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise NonpositiveConcentration("need a nonempty 1-d concentration vector")
-    if not np.all(a > 0.0):
-        raise NonpositiveConcentration(f"concentrations must be > 0, got {a}")
-    if a.size == 1:
-        return np.array([1.0])
-    return _gamma_rows(gen, a, 1)[0]
-
-
 _MIN_POSITIVE = 5e-324  # smallest subnormal double
+
+# A gamma(a) variate with a < 1 falls below the smallest subnormal with
+# chance about 5e-324 ** a = exp(-744.4 a), so a row is all zeros with chance
+# about exp(-744.4 sum(a)).  Below this row weight a redraw succeeds with
+# chance under 7.4e-5; at 1e-300 it never does.
+_MIN_REDRAW_WEIGHT = 1e-7
 
 
 def _row_sums(g: np.ndarray) -> np.ndarray:
@@ -98,7 +86,8 @@ def _gamma_rows(gen: Generator, a: np.ndarray, n: int, redraw: bool = True):
     """n independent normalized gamma rows with shape vector a, all entries
     guaranteed strictly positive.
 
-    Rows whose draws all underflow to zero are redrawn (see resample_count);
+    Rows whose draws all underflow to zero are redrawn (see resample_count),
+    or refused with a ValueError if a sums below _MIN_REDRAW_WEIGHT;
     with redraw=False such a row makes the call return None instead, so the
     n rows drawn are always the first n rows of any longer call on the same
     generator state.  Individual underflowed entries are clamped to the
@@ -113,6 +102,9 @@ def _gamma_rows(gen: Generator, a: np.ndarray, n: int, redraw: bool = True):
     bad = np.flatnonzero(sums == 0.0)  # entries are >= 0: a zero sum is an all-zero row
     if bad.size and not redraw:
         return None
+    if bad.size and a.sum() < _MIN_REDRAW_WEIGHT:
+        raise ValueError(f"Dirichlet weights {a.tolist()} sum below {_MIN_REDRAW_WEIGHT}: their "
+                         f"gamma rows underflow to all zeros too often to redraw")
     while bad.size:
         _resample_count += int(bad.size)
         g[bad] = gen.standard_gamma(a, size=(bad.size, a.size))
@@ -255,14 +247,3 @@ def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
             np.copyto(out[:, ptr[v]:ptr[v + m]].reshape(n, m, a.size),
                       rows.reshape(m, n, a.size).transpose(1, 0, 2))
     return out
-
-
-def amalgamate(v, partition) -> np.ndarray:
-    """Block sums of a probability vector over a disjoint cover of indices."""
-    v = np.asarray(v, dtype=float)
-    seen = []
-    for block in partition:
-        seen.extend(block)
-    if sorted(seen) != list(range(v.size)):
-        raise BadPartition(f"blocks {partition!r} do not cover 0..{v.size - 1} exactly")
-    return np.array([v[list(block)].sum() for block in partition])

@@ -49,10 +49,6 @@ class NonpositiveKappa1(RwdeError):
     """The drift closure requires kappa1 > 0."""
 
 
-class NonzeroKappa1(RwdeError):
-    """The balanced closure requires kappa1 = 0 (within tolerance)."""
-
-
 # --- trap exponent search -------------------------------------------------
 
 class EmptySet(RwdeError):
@@ -69,16 +65,8 @@ class UncertifiedKappa0(UserWarning):
 
 # --- environment sampling -------------------------------------------------
 
-class NonpositiveConcentration(RwdeError):
-    """Dirichlet concentrations must be strictly positive."""
-
-
 class IsolatedVertex(RwdeError):
     """A non-sink vertex has no outgoing edge to sample a row for."""
-
-
-class BadPartition(RwdeError):
-    """Partition blocks must cover all indices exactly once."""
 
 
 # --- quenched solvers -----------------------------------------------------
@@ -100,10 +88,6 @@ class NotStronglyConnected(RwdeError):
 
 
 # --- walks ------------------------------------------------------------------
-
-class StartOutsideWindow(RwdeError):
-    """Walk start must lie in the window interior."""
-
 
 class DeadEnd(RwdeError):
     """The reinforced walk reached a vertex with no outgoing edge."""

@@ -1,12 +1,10 @@
 """Finite weighted digraphs: the walk's jump graph restricted to windows,
-plus the zero-divergence closures and the half-line truncation used by the
-verification suites.
+plus the zero-divergence drift closure and the half-line truncation used by
+the verification suites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MTooSmall, NonpositiveKappa1, NonzeroKappa1, WTooSmall
+from .errors import MTooSmall, NonpositiveKappa1, WTooSmall
 from .model import DirichletParams, derive_params
 
 
@@ -77,13 +75,6 @@ class WeightedDigraph:
     def out_weight(self, x) -> float:
         return sum(self.out_edges(x).values())
 
-    def in_weight(self, x) -> float:
-        return sum(self.in_edges(x).values())
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.pos)
-
     def edges(self):
         """(tail, head, weight) in row order."""
         return ((t, h, w) for (t, h), w in zip(self.pos, self.weights.tolist()))
@@ -138,19 +129,6 @@ class WeightedDigraph:
         return self._strong
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Per-vertex incoming-minus-outgoing weight."""
-
-    per_vertex: dict
-    max_abs: float
-
-
-def divergence_report(g: WeightedDigraph) -> DivergenceReport:
-    per = {x: g.in_weight(x) - g.out_weight(x) for x in g.vertices}
-    return DivergenceReport(per_vertex=per, max_abs=max(map(abs, per.values()), default=0.0))
-
-
 def build_window(p: DirichletParams, a: int, b: int) -> WeightedDigraph:
     """Induced subgraph of the jump graph on the integer interval [a, b]:
     edge (x, x+i) with weight alpha_i whenever both endpoints lie inside."""
@@ -181,23 +159,6 @@ def build_drift_closure(p: DirichletParams, M: int) -> WeightedDigraph:
     edges = _clamped_interior(p, 1, M - 1, 0, M) + _compensation(p, 0, 1) + _compensation(p, M, -1)
     edges.append((M, 0, dp.kappa1))
     return WeightedDigraph(edges, vertices=range(M + 1))
-
-
-def build_balanced_closure(p: DirichletParams, M: int) -> WeightedDigraph:
-    """Close the window [-M, M] into a zero-divergence graph for kappa1 = 0.
-
-    Same boundary compensation as the drift closure; since the two sides
-    balance, no recycling edge is needed, and a unit-weight edge pair joining
-    0 and -M is added (any positive weight preserves zero divergence).
-    """
-    dp = derive_params(p)
-    if M <= p.R + p.L:
-        raise MTooSmall(f"need M > R + L = {p.R + p.L}, got {M}")
-    if not dp.kappa1_is_zero:
-        raise NonzeroKappa1(f"kappa1 = {dp.kappa1}")
-    edges = _clamped_interior(p, -M + 1, M - 1, -M, M)
-    edges += _compensation(p, -M, 1) + _compensation(p, M, -1) + [(0, -M, 1.0), (-M, 0, 1.0)]
-    return WeightedDigraph(edges, vertices=range(-M, M + 1))
 
 
 def build_halfline(p: DirichletParams, W: int) -> WeightedDigraph:

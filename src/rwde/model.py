@@ -40,9 +40,6 @@ class DirichletParams:
     def weight(self, i: int) -> float:
         return self.alphas.get(i, 0.0)
 
-    def total_weight(self) -> float:
-        return _kahan_sum(self.alphas[i] for i in sorted(self.alphas))
-
 
 @dataclass(frozen=True)
 class DerivedParams:

@@ -41,7 +41,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         + a * math.log(x)
         + b * math.log1p(-x)
     )
-    front = math.exp(ln_front)
+    try:
+        front = math.exp(ln_front)
+    except OverflowError:  # lgamma cancellation at huge a, b, not a true value
+        raise DomainError(f"I_x(a, b) overflows at a={a}, b={b}, x={x}") from None
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b

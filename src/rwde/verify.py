@@ -240,13 +240,14 @@ def loop_reversal(p: DirichletParams, runs: int, seed: int, M: int = 6) -> tuple
         if len(path) > 1 and path[-1] == 0:  # returned, possibly at the horizon
             completed += 1
             counts[path[-2]] += 1
-    worst_z = 0.0
+    worst_z = 0.0 if completed else float("inf")  # no return: no frequency to score
     rows = []
-    for y in sorted(in_edges):
+    for y in sorted(in_edges) if completed else ():
         pr = in_edges[y] / total_in
         freq = counts[y] / completed
         se = (pr * (1.0 - pr) / completed) ** 0.5
-        z = abs(freq - pr) / se
+        # a neighbour with an expected share of exactly 1.0 must match exactly
+        z = abs(freq - pr) / se if se else (0.0 if freq == pr else float("inf"))
         worst_z = max(worst_z, z)
         rows.append({"from": y, "expected": pr, "observed": freq, "z": z})
     # returns have a heavy (trap-driven) tail; a vanishing fraction of runs

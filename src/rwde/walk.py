@@ -1,5 +1,5 @@
-"""Quenched and reinforced walk simulation, path statistics, regeneration
-structure, and velocity estimation.
+"""Quenched and reinforced walk simulation, regeneration structure, and
+velocity estimation.
 
 Walks over the full integer line sample their environment lazily in blocks of
 1024 sites keyed by (seed, block index), so the realized environment does not
@@ -15,8 +15,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .environment import Environment, RngStream, _gamma_rows
-from .errors import DeadEnd, NotAPath, StartOutsideWindow
+from .environment import RngStream, _gamma_rows
+from .errors import DeadEnd, NotAPath
 from .graphs import WeightedDigraph, _check_vertices
 from .model import DirichletParams, derive_params
 from .stats import mean_and_se
@@ -31,44 +31,9 @@ _CHUNK = 1024  # uniforms per draw from a reinforced walk's generator
 class Trajectory:
     start: int
     positions: tuple  # positions[0] == start
-    stop_reason: str  # horizon | hit_target | left_window
+    stop_reason: str  # horizon | hit_target
     seed: int = 0
     stream: tuple = ()
-
-
-@dataclass(frozen=True)
-class WalkStats:
-    """Path statistics per the hitting-time / occupation-count definitions.
-
-    hitting[x] / first_return[x]: H_x and first positive hitting time (None
-    when not reached within the horizon).  visits[x]: total time at x.
-    visits_before_exit[(x, S)]: time at x before first leaving S.
-    trips[(x, y)]: visits to x whose most recent y-visit is more recent than
-    the most recent x-visit.  crossings[(x, y)]: leftward crossings of the
-    interval, i.e. times at or left of x more recently preceded by a visit at
-    or right of y.
-    """
-
-    hitting: dict
-    first_return: dict
-    visits: dict
-    visits_before_exit: dict
-    trips: dict
-    crossings: dict
-    regenerations: list
-
-    def to_json(self) -> dict:
-        def t(v):
-            return None if v is None else int(v)
-
-        return {
-            "H": {str(x): t(v) for x, v in sorted(self.hitting.items())},
-            "Htilde": {str(x): t(v) for x, v in sorted(self.first_return.items())},
-            "N": {str(x): int(v) for x, v in sorted(self.visits.items())},
-            "N_trips": {f"{x},{y}": int(v) for (x, y), v in sorted(self.trips.items())},
-            "N_cross": {f"{x},{y}": int(v) for (x, y), v in sorted(self.crossings.items())},
-            "regenerations": [int(v) for v in self.regenerations],
-        }
 
 
 @dataclass(frozen=True)
@@ -96,58 +61,6 @@ def simulate_line(p: DirichletParams, steps: int, rng: RngStream) -> np.ndarray:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     return _LineWalker(p).positions(rng, steps)
-
-
-def simulate_quenched(env: Environment, start: int, horizon: int, rng: RngStream,
-                      targets=None) -> Trajectory:
-    """Markov chain driven by the environment rows.
-
-    Without targets the walk stops at the horizon or on entering the window's
-    boundary band (within L of the left edge or R of the right edge, with L
-    and R read off the edge offsets), where the clamped rows no longer match
-    the infinite line.  With targets the walk stops on hitting any of them
-    instead, and the band rule is disabled.
-    """
-    verts = env.vertices
-    lo, hi = verts[0], verts[-1]
-    if targets is None:
-        l_eff = max((t - h for t, h, _ in env.graph.edges()), default=0)
-        r_eff = max((h - t for t, h, _ in env.graph.edges()), default=0)
-        lo_stop, hi_stop = lo + l_eff - 1, hi - r_eff + 1
-        if not (lo_stop < start < hi_stop):
-            raise StartOutsideWindow(f"start {start} not in interior ({lo_stop}, {hi_stop})")
-        target_set = None
-    else:
-        target_set = set(targets)
-        if start not in verts:
-            raise StartOutsideWindow(f"start {start} not a vertex")
-        lo_stop = hi_stop = None
-
-    rnd = rng.python_random().random
-    x = start
-    positions = [x]
-    reason = "horizon"
-    for _ in range(horizon):
-        heads, probs = env.row(x)
-        r = rnd()
-        acc = 0.0
-        nxt = heads[-1]
-        for h, q in zip(heads, probs):
-            acc += q
-            if r < acc:
-                nxt = h
-                break
-        x = nxt
-        positions.append(x)
-        if target_set is not None:
-            if x in target_set:
-                reason = "hit_target"
-                break
-        elif x <= lo_stop or x >= hi_stop:
-            reason = "left_window"
-            break
-    return Trajectory(start=start, positions=tuple(positions), stop_reason=reason,
-                      seed=rng.seed, stream=rng.index)
 
 
 def simulate_derrw(g: WeightedDigraph, start, horizon: int, rng: RngStream,
@@ -234,78 +147,6 @@ def annealed_path_probability(g: WeightedDigraph, path) -> float:
         extra_e[(t, h)] = extra_e.get((t, h), 0) + 1
         extra_v[t] = extra_v.get(t, 0) + 1
     return prob
-
-
-def trajectory_stats(traj: Trajectory, sites=(), site_sets=(), pairs=(),
-                     tail_buffer: int = 0) -> WalkStats:
-    """Single left-to-right scan computing all queried statistics.
-
-    pairs entries are (x, y) with x < y.  site_sets entries are (x, S) with
-    x in S; the count stops at the first exit from S.
-    """
-    xs = traj.positions
-    sites = tuple(sites)
-    hitting = {s: None for s in sites}
-    first_return = {s: None for s in sites}
-    visits = {s: 0 for s in sites}
-
-    site_sets = [(x, frozenset(S)) for x, S in site_sets]
-    in_set_open = {key: True for key in range(len(site_sets))}
-    visits_before_exit = {(x, S): 0 for x, S in site_sets}
-
-    pairs = tuple(pairs)
-    for x, y in pairs:
-        if not x < y:
-            raise ValueError(f"pair {x, y} must have x < y")
-    pair_sites = {v for pair in pairs for v in pair}
-    last_at = {v: None for v in pair_sites}  # most recent visit time
-    last_le = {x: None for x, _ in pairs}    # most recent time at or left of x
-    last_ge = {y: None for _, y in pairs}    # most recent time at or right of y
-    trips = {pair: 0 for pair in pairs}
-    crossings = {pair: 0 for pair in pairs}
-
-    for n, z in enumerate(xs):
-        if z in hitting:
-            if hitting[z] is None:
-                hitting[z] = n
-            if n >= 1 and first_return[z] is None:
-                first_return[z] = n
-            visits[z] += 1
-        for key, (sx, S) in enumerate(site_sets):
-            if in_set_open[key]:
-                if z not in S:
-                    in_set_open[key] = False
-                elif z == sx:
-                    visits_before_exit[(sx, S)] += 1
-        for x, y in pairs:
-            if z == x:
-                lx = last_at[x]
-                ly = last_at[y]
-                if ly is not None and (lx is None or ly > lx):
-                    trips[(x, y)] += 1
-            if z <= x:
-                ge = last_ge[y]
-                le = last_le[x]
-                if ge is not None and (le is None or ge > le):
-                    crossings[(x, y)] += 1
-        # bookkeeping updates come after the checks: conditions look at j < n
-        if z in pair_sites:
-            last_at[z] = n
-        for x, y in pairs:
-            if z <= x:
-                last_le[x] = n
-            if z >= y:
-                last_ge[y] = n
-
-    return WalkStats(
-        hitting=hitting,
-        first_return=first_return,
-        visits=visits,
-        visits_before_exit=visits_before_exit,
-        trips=trips,
-        crossings=crossings,
-        regenerations=regeneration_times(traj, tail_buffer),
-    )
 
 
 def regeneration_times(traj: Trajectory, tail_buffer: int) -> list:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import warnings
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rwde import cli
+from rwde import cli, verify
 
 SCHEMA = json.loads(
     (__import__("pathlib").Path(__file__).parent.parent / "src/rwde/report.schema.json").read_text()
@@ -316,3 +320,102 @@ def test_unwritable_out_is_a_json_error(tmp_path, capsys):
     assert len(lines) == 1
     assert _validated(lines[0])["error"]["code"] == "OSError"
     assert not path.exists()
+
+
+def test_verify_loop_reversal_certain_neighbour_passes(capsys):
+    # the in-edge from 6 carries the whole expected share, so its standard
+    # error is 0; this divided by zero and exited 1 with a traceback
+    code = cli.main(["verify", "loop-reversal", "--alphas=-1:1e-300,1:1", "--steps", "200"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rep = _validated(captured.out)
+    assert rep["passed"] is True
+    assert {r["from"]: r["z"] for r in rep["evidence"]["per_neighbor"]}[6] == 0
+
+
+def test_verify_loop_reversal_without_returns_fails_cleanly(capsys):
+    # the single run never returns to 0: no frequency to score, no division
+    code = cli.main(["verify", "loop-reversal", "--alphas=-1:1e-300,1:2e-300",
+                     "--steps", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    rep = _validated(captured.out)
+    assert rep["passed"] is False
+    assert rep["evidence"]["completed"] == 0 and rep["evidence"]["per_neighbor"] == []
+
+
+_WEIGHTS = st.sampled_from(["1", "1", "2", "0.5", "0.05", "3", "1e-300", "5e-324", "1e300",
+                            "0", "nan", "x"])
+_MALFORMED = st.sampled_from(["", ",", "1", ":1", "1:2:3", "-1:1,,1:2", "-1:1,-1:2", "a:b", "2:1"])
+
+
+@st.composite
+def _alphas(draw):
+    """A weight map on offsets in [-4, 4], one or more on each side, with
+    plain, tiny, huge, zero, NaN and malformed weights; now and then garbage."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_MALFORMED)
+    offsets = {draw(st.integers(-4, -1)), draw(st.integers(1, 4)),
+               *draw(st.lists(st.integers(-4, 4), max_size=2))}
+    return ",".join(f"{i}:{draw(_WEIGHTS)}" for i in sorted(offsets))
+
+
+@st.composite
+def _argv(draw):
+    """An argv of one of the five commands at small sizes (steps <= 2,000,
+    replicas <= 200, window <= 64, max-diameter <= 12; now and then -1 or 0)
+    and now and then a flag that argparse refuses."""
+    def size(hi):
+        return str(draw(st.sampled_from([-1, 0]) if draw(st.integers(0, 9)) == 0
+                        else st.integers(1, hi)))
+
+    command = draw(st.sampled_from(["analyze", "kappa0", "simulate", "speed", "verify"]))
+    argv = [command] + ([draw(st.sampled_from(verify.SUITES))] if command == "verify" else [])
+    if command != "verify" or draw(st.booleans()):
+        argv.append(f"--alphas={draw(_alphas())}")
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 20)))]
+    if command in ("analyze", "kappa0"):
+        argv += ["--max-diameter", size(12),
+                 "--strategy", draw(st.sampled_from(["exhaustive", "branch_and_bound"]))]
+        argv += ["--require-certified"] if draw(st.booleans()) else []
+    elif command == "simulate":
+        argv += ["--steps", size(2000)]
+    elif command == "speed":
+        argv += ["--steps", size(2000), "--replicas", size(200),
+                 "--method", draw(st.sampled_from(["endpoint", "regeneration"]))]
+    else:  # every size, so that no suite runs at its default
+        argv += ["--replicas", size(200), "--window", size(64), "--steps", size(200)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--steps=x", "--method=fast", "--format=csv"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["simulate", "--alphas=-1:1e-300,3:1e-300", "--steps", "10"])  # redrew forever
+@example(["verify", "beta-law", "--alphas=-1:1e300,1:1,3:1e300", "--replicas", "1",
+          "--window", "26", "--steps", "1"])  # OverflowError in the beta CDF
+@example(["verify", "loop-reversal", "--alphas=-1:1e-300,1:1", "--steps", "200"])
+@example(["verify", "loop-reversal", "--alphas=-1:1e-300,1:2e-300", "--steps", "1", "--seed", "1"])
+def test_every_argv_gets_one_report_and_an_exit_code(argv):
+    # an exception escaping main is the traceback a user would see
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse refused the argv
+            assert (exc.code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("usage: rwde")
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if argv[0] == "simulate" and code == 0:
+        lines = out.splitlines()
+        assert lines[0] == "n,x" and len(lines) == int(argv[argv.index("--steps") + 1]) + 2
+    else:
+        assert out.endswith("\n") and out.count("\n") == 1
+        _validated(out)

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from rwde.environment import (
     Environment,
     RngStream,
-    amalgamate,
     resample_count,
     reset_resample_count,
-    sample_dirichlet,
     sample_environment,
     sample_environments,
     sample_rows,
 )
-from rwde.errors import BadPartition, IsolatedVertex, NonpositiveConcentration
+from rwde.errors import IsolatedVertex
 from rwde.graphs import WeightedDigraph, build_window
 from rwde.model import validate_params
 from conftest import plain_gamma_rows
@@ -31,28 +29,13 @@ def test_stream_reproducibility_and_independence():
     assert RngStream(42).substream(1, 2).index == (1, 2)
 
 
-def test_dirichlet_degenerate():
-    assert sample_dirichlet([2.5], RngStream(0)).tolist() == [1.0]
-
-
-def test_dirichlet_rejects_bad_concentrations():
-    with pytest.raises(NonpositiveConcentration):
-        sample_dirichlet([1.0, 0.0], RngStream(0))
-    with pytest.raises(NonpositiveConcentration):
-        sample_dirichlet([], RngStream(0))
-
-
 def test_dirichlet_marginal_mean():
     a, b = 2.0, 3.0
-    gen = RngStream(101).generator()
     n = 100_000
-    first = np.array([sample_dirichlet([a, b], gen)[0] for _ in range(2000)])
-    # large batch via the environment sampler's (n, edges) matrix for speed
     g = WeightedDigraph([(0, 1, a), (0, 0, b), (1, 1, 1.0)])
     big = sample_rows(g, RngStream(102), n)[:, g.pos[0, 1]]
     mean = a / (a + b)
     sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
-    assert abs(first.mean() - mean) <= 3 * sd / math.sqrt(first.size)
     assert abs(big.mean() - mean) <= 3 * sd / math.sqrt(n)
 
 
@@ -135,11 +118,26 @@ def test_underflow_guard_resamples_and_clamps():
     # shapes this small underflow to exact zero most of the time; all-zero
     # rows must be redrawn and surviving zero entries clamped positive
     reset_resample_count()
+    from rwde.environment import _gamma_rows
+
     gen = RngStream(11).generator()
-    draws = np.array([sample_dirichlet([1e-4, 2e-4], gen) for _ in range(300)])
+    draws = _gamma_rows(gen, np.array([1e-4, 2e-4]), 300)
     assert resample_count() > 0
     assert np.all(draws > 0.0)
     assert np.allclose(draws.sum(axis=1), 1.0)
+
+
+def test_gamma_rows_refuse_rows_that_always_underflow():
+    # every gamma variate at shape 1e-300 is zero: the redraws never ended
+    from rwde.environment import _MIN_REDRAW_WEIGHT, _gamma_rows
+
+    reset_resample_count()
+    for a in ([1e-300, 1e-300], [0.4 * _MIN_REDRAW_WEIGHT, 0.5 * _MIN_REDRAW_WEIGHT]):
+        with pytest.raises(ValueError, match="too often to redraw"):
+            _gamma_rows(RngStream(12).generator(), np.array(a), 1024)
+    assert resample_count() == 0
+    # the bound is on the row's total weight, not on its smallest entry
+    assert _gamma_rows(RngStream(12).generator(), np.array([1e-300, 1.0]), 1024).shape == (1024, 2)
 
 
 def test_sink_row_is_certain():
@@ -153,16 +151,6 @@ def test_isolated_vertex_rejected():
     g = WeightedDigraph([(0, 1, 1.0)], vertices=[0, 1, 2])
     with pytest.raises(IsolatedVertex):
         sample_environment(g, RngStream(0))
-
-
-def test_amalgamate_examples():
-    v = [0.2, 0.3, 0.5]
-    assert amalgamate(v, [[0], [1], [2]]).tolist() == v
-    assert amalgamate(v, [[0, 1], [2]]).tolist() == [0.5, 0.5]
-    with pytest.raises(BadPartition):
-        amalgamate(v, [[0, 1]])
-    with pytest.raises(BadPartition):
-        amalgamate(v, [[0, 1], [1, 2]])
 
 
 def test_environment_validation():

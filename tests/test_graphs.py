@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwde.errors import MTooSmall, NonpositiveKappa1, NonzeroKappa1, WTooSmall
+from rwde.errors import MTooSmall, NonpositiveKappa1, WTooSmall
 from rwde.graphs import (
     WeightedDigraph,
-    build_balanced_closure,
     build_drift_closure,
     build_halfline,
     build_window,
-    divergence_report,
     strongly_connected,
 )
 from rwde.model import derive_params, validate_params
 from conftest import random_params, reach_closure_oracle
 
 NN12 = validate_params(1, 1, {-1: 1.0, 1: 2.0})
+
+
+def _divergence(g):
+    """In-weight minus out-weight per vertex position."""
+    n = len(g.vertices)
+    return np.bincount(g.cols, g.weights, n) - np.bincount(g.tails, g.weights, n)
 
 
 def test_window_nearest_neighbor():
@@ -46,7 +50,7 @@ def test_window_interior_out_weight():
     for _ in range(10):
         p = random_params(rnd)
         g = build_window(p, 0, 4 * (p.L + p.R))
-        total = p.total_weight()
+        total = sum(p.alphas.values())
         for x in range(p.L, 3 * (p.L + p.R)):
             assert g.out_weight(x) == pytest.approx(total, rel=1e-12)
 
@@ -57,8 +61,7 @@ def test_drift_closure_hand_construction():
     assert dict(g.out_edges(1)) == {0: 1.0, 2: 2.0}
     assert dict(g.out_edges(2)) == {1: 1.0, 3: 2.0}
     assert dict(g.out_edges(3)) == {2: 1.0, 0: 1.0}  # recycling edge weight = drift
-    rep = divergence_report(g)
-    assert rep.max_abs <= 1e-12
+    assert np.abs(_divergence(g)).max() <= 1e-12
 
 
 def test_drift_closure_preconditions():
@@ -79,50 +82,19 @@ def test_drift_closure_zero_divergence_randomized():
             continue
         found += 1
         g = build_drift_closure(p, p.L + p.R + rnd.randrange(1, 6))
-        rep = divergence_report(g)
-        assert rep.max_abs <= 1e-12 * (dp.d_plus + dp.d_minus)
-
-
-def test_balanced_closure_symmetric():
-    sym = validate_params(1, 1, {-1: 1.0, 1: 1.0})
-    g = build_balanced_closure(sym, 3)
-    assert g.vertices == tuple(range(-3, 4))
-    assert g.edge_weight(0, -3) == 1.0
-    assert g.edge_weight(-3, 0) == 1.0
-    assert divergence_report(g).max_abs <= 1e-12
-
-
-def test_balanced_closure_randomized_divergence():
-    rnd = random.Random(17)
-    for _ in range(10):
-        base = random_params(rnd)
-        # symmetrize so kappa1 = 0 exactly
-        alphas = {}
-        for i, w in base.alphas.items():
-            alphas[i] = max(alphas.get(i, 0.0), w)
-            alphas[-i] = alphas[i]
-        side = max(base.L, base.R)
-        p = validate_params(side, side, alphas)
-        g = build_balanced_closure(p, 2 * side + rnd.randrange(1, 4))
-        assert divergence_report(g).max_abs <= 1e-12 * (2 * derive_params(p).d_plus)
-
-
-def test_balanced_closure_rejects_drift():
-    p = validate_params(1, 1, {-1: 1.0, 1: 1.5})  # kappa1 = 0.5
-    with pytest.raises(NonzeroKappa1):
-        build_balanced_closure(p, 4)
+        assert np.abs(_divergence(g)).max() <= 1e-12 * (dp.d_plus + dp.d_minus)
 
 
 def test_halfline_structure_and_divergence():
     g = build_halfline(NN12, 10)
     assert g.edge_weight(1, 0) == 1.0
     assert g.edge_weight(0, 1) == 2.0
-    rep = divergence_report(g)
+    div = _divergence(g)  # vertex x sits at position x
     dp = derive_params(NN12)
     # net outflow kappa1 at the origin (in minus out = -kappa1)
-    assert rep.per_vertex[0] == pytest.approx(-dp.kappa1, abs=1e-12)
+    assert div[0] == pytest.approx(-dp.kappa1, abs=1e-12)
     for x in range(NN12.R + 1, 10 - NN12.L):
-        assert abs(rep.per_vertex[x]) <= 1e-12
+        assert abs(div[x]) <= 1e-12
     with pytest.raises(WTooSmall):
         build_halfline(NN12, 2)
 
@@ -133,10 +105,10 @@ def test_halfline_origin_outflow_randomized():
         p = random_params(rnd)
         dp = derive_params(p)
         g = build_halfline(p, 3 * (p.L + p.R))
-        rep = divergence_report(g)
-        assert rep.per_vertex[0] == pytest.approx(-dp.kappa1, abs=1e-12)
+        div = _divergence(g)
+        assert div[0] == pytest.approx(-dp.kappa1, abs=1e-12)
         for x in range(1, 2 * (p.L + p.R)):
-            assert abs(rep.per_vertex[x]) <= 1e-12
+            assert abs(div[x]) <= 1e-12
 
 
 def test_strongly_connected_examples():
@@ -172,18 +144,10 @@ def test_strongly_connected_against_closure_oracle():
         assert strongly_connected(g, S) == expect
 
 
-def test_divergence_single_edge_and_overlay():
-    g = WeightedDigraph([(0, 1, 0.7)])
-    rep = divergence_report(g)
-    assert rep.per_vertex[0] == -0.7 and rep.per_vertex[1] == 0.7
-    both = WeightedDigraph([(0, 1, 0.7), (1, 0, 0.7), (1, 2, 1.1), (2, 1, 1.1)])
-    assert divergence_report(both).max_abs == 0.0
-
-
 def test_parallel_edges_amalgamate_and_dump_sorted():
     g = WeightedDigraph([(0, 1, 1.0), (0, 1, 2.0), (1, 0, 0.5)])
     assert g.edge_weight(0, 1) == 3.0
-    assert g.num_edges == 2
+    assert len(g.pos) == 2
     lines = g.dump().splitlines()
     assert lines == sorted(lines) and lines[0].startswith("0 1 ")
 
@@ -225,7 +189,7 @@ def test_graph_matches_dict_of_dicts_reference(case):
     assert g.vertices == tuple(verts)
     assert list(g.edges()) == ref
     assert g.dump() == "\n".join(f"{t} {h} {w!r}" for t, h, w in ref)
-    assert g.num_edges == len(ref)
+    assert len(g.pos) == len(ref)
     assert list(g.reversed().edges()) == sorted((h, t, w) for t, h, w in ref)
     assert g.reversed().vertices == g.vertices
     for v in verts + ["not a vertex"]:
@@ -234,7 +198,6 @@ def test_graph_matches_dict_of_dicts_reference(case):
         assert list(g.out_edges(v).items()) == row
         assert list(g.in_edges(v).items()) == col
         assert g.out_weight(v) == sum(w for _, w in row)  # summed in row order
-        assert g.in_weight(v) == sum(w for _, w in col)
     for t in verts:
         for h in verts:
             assert g.edge_weight(t, h) == out.get(t, {}).get(h, 0.0)

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 from rwde import verify
 
@@ -59,3 +60,37 @@ def test_standard_gamma_only_in_gamma_rows():
             if name == "standard_gamma":
                 calls.append((path.stem, owner.get(node)))
     assert calls and set(calls) == {("environment", "_gamma_rows")}
+
+
+def _references(node, inside=frozenset()):
+    """The names read in node's tree (as names, attributes or imports), each
+    outside the function or class of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.ImportFrom):
+        names = [a.name for a in node.names]
+    else:
+        names = []
+    yield from (name for name in names if name not in inside)
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_every_export_is_used():
+    # a public name stays only if the system reaches it: another rwde module,
+    # a bench job, an acceptance test or the README refers to it
+    src = pathlib.Path(verify.__file__).parent
+    root = src.parent.parent
+    init = ast.parse((src / "__init__.py").read_text())
+    exports = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+               for a in node.names}
+    used = set()
+    for path in [*src.glob("*.py"), *root.glob("bench/*.py"), root / "tests/test_acceptance.py"]:
+        if path.name != "__init__.py":
+            used.update(_references(ast.parse(path.read_text())))
+    readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    assert sorted(exports - used - readme) == []

@@ -34,7 +34,6 @@ from rwde.solver import (
     stationary_rows,
     time_reverse,
 )
-from rwde.walk import simulate_quenched
 from conftest import gambler_ruin_up_probability
 
 NN = validate_params(1, 1, {-1: 1.0, 1: 1.0})
@@ -228,6 +227,27 @@ def test_dense_solve_rejects_singular_system():
             _System(2, rows, cols).solve(np.diag(M)[None], M[rows, cols][None], np.array([b]))
 
 
+def _visits_until_hit(rows, start, targets, horizon, rng):
+    """Visits to start of one walk on rows[x] = (sorted heads, probabilities),
+    stopped on hitting targets or after horizon steps: each step draws one
+    uniform and takes the first head whose running probability sum exceeds
+    it (the last head if none does)."""
+    rnd = rng.python_random().random
+    x, visits = start, 1
+    for _ in range(horizon):
+        heads, probs = rows[x]
+        r, acc, x = rnd(), 0.0, heads[-1]
+        for h, q in zip(heads, probs):
+            acc += q
+            if r < acc:
+                x = h
+                break
+        if x in targets:
+            break
+        visits += x == start
+    return visits
+
+
 def test_expected_visits_matches_monte_carlo():
     p = validate_params(1, 1, {-1: 0.8, 1: 1.4})
     g = build_window(p, 0, 4)
@@ -236,11 +256,11 @@ def test_expected_visits_matches_monte_carlo():
     exact = expected_visits(env, 2, S)
     n = 100_000
     base = RngStream(34)
+    rows = {x: (env.row(x)[0], env.row(x)[1].tolist()) for x in env.vertices}
     total = 0
     counts = np.empty(n)
     for i in range(n):
-        traj = simulate_quenched(env, 2, 10_000, base.substream(i), targets=(0, 4))
-        c = sum(1 for z in traj.positions if z == 2)
+        c = _visits_until_hit(rows, 2, (0, 4), 10_000, base.substream(i))
         counts[i] = c
         total += c
     mc = total / n

@@ -53,6 +53,10 @@ def test_beta_cdf_domain_errors():
         regularized_incomplete_beta(0.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         regularized_incomplete_beta(1.0, 1.0, 1.5)
+    # the lgamma terms cancel to garbage here, and math.exp of it raised
+    # OverflowError (a traceback under rwde verify beta-law)
+    with pytest.raises(DomainError, match="overflows"):
+        regularized_incomplete_beta(2e300, 1e300, 0.6666667261808054)
 
 
 def test_ks_single_point():

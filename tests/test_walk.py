@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwde import verify
-from rwde.environment import Environment, RngStream, sample_environment
-from rwde.errors import DeadEnd, NotAPath, StartOutsideWindow
-from rwde.graphs import WeightedDigraph, build_window
+from rwde.environment import RngStream
+from rwde.errors import DeadEnd, NotAPath
+from rwde.graphs import WeightedDigraph
 from rwde.model import validate_params
 from rwde.walk import (
     Trajectory,
@@ -22,60 +22,8 @@ from rwde.walk import (
     simulate_derrw,
     simulate_derrw_batch,
     simulate_line,
-    simulate_quenched,
-    trajectory_stats,
 )
 from conftest import plain_gamma_rows
-
-
-def _deterministic_right_env(n):
-    g = WeightedDigraph([(x, x + 1, 1.0) for x in range(n)] + [(n, n, 1.0)])
-    rows = {x: ((x + 1,), np.array([1.0])) for x in range(n)}
-    rows[n] = ((n,), np.array([1.0]))
-    return Environment.from_rows(g, rows)
-
-
-def test_quenched_deterministic_path():
-    env = _deterministic_right_env(10)
-    traj = simulate_quenched(env, 0, 100, RngStream(1), targets=(9,))
-    assert traj.positions == tuple(range(10))
-    assert traj.stop_reason == "hit_target"
-
-
-def test_quenched_window_band_stop():
-    p = validate_params(1, 1, {-1: 1.0, 1: 1.0})
-    g = build_window(p, 0, 6)
-    env = sample_environment(g, RngStream(2))
-    traj = simulate_quenched(env, 3, 10_000, RngStream(3))
-    assert traj.stop_reason == "left_window"
-    assert traj.positions[-1] in (0, 6)
-    for a, b in zip(traj.positions, traj.positions[1:]):
-        assert -1 <= b - a <= 1
-    with pytest.raises(StartOutsideWindow):
-        simulate_quenched(env, 0, 10, RngStream(3))
-
-
-def test_quenched_one_step_frequencies():
-    g = WeightedDigraph([(0, 1, 1.0), (0, 2, 2.0), (1, 0, 1.0), (2, 0, 1.0)])
-    env = sample_environment(g, RngStream(5))
-    p01 = env.prob(0, 1)
-    n = 30_000
-    base = RngStream(6)
-    count = 0
-    for i in range(n):
-        traj = simulate_quenched(env, 0, 1, base.substream(i), targets=(1, 2))
-        count += traj.positions[1] == 1
-    se = math.sqrt(p01 * (1 - p01) / n)
-    assert abs(count / n - p01) <= 3 * se
-
-
-def test_quenched_seeded_rerun_identical():
-    p = validate_params(1, 2, {-1: 1.0, 1: 0.3, 2: 0.7})
-    g = build_window(p, -20, 20)
-    env = sample_environment(g, RngStream(7))
-    a = simulate_quenched(env, 0, 500, RngStream(8, (1,)))
-    b = simulate_quenched(env, 0, 500, RngStream(8, (1,)))
-    assert a.positions == b.positions
 
 
 def test_derrw_single_edge_deterministic():
@@ -194,42 +142,6 @@ def test_annealed_path_probability_total_mass():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_trajectory_stats_hand_example():
-    traj = Trajectory(start=0, positions=(0, 1, 0, -1, 2), stop_reason="horizon")
-    st = trajectory_stats(traj, sites=(0, 1), pairs=((-1, 1),))
-    assert st.hitting[0] == 0 and st.first_return[0] == 2
-    assert st.visits[0] == 2
-    assert st.hitting[1] == 1
-    assert st.trips[(-1, 1)] == 1  # the visit to -1 follows the visit to 1
-
-
-def test_trajectory_stats_monotone_path_has_no_backtracks():
-    traj = Trajectory(start=0, positions=tuple(range(30)), stop_reason="horizon")
-    st = trajectory_stats(traj, pairs=((2, 5), (0, 1)))
-    assert all(v == 0 for v in st.trips.values())
-    assert all(v == 0 for v in st.crossings.values())
-
-
-def test_trajectory_stats_visits_before_exit():
-    traj = Trajectory(start=0, positions=(0, 1, 0, 2, 0, 5, 0), stop_reason="horizon")
-    st = trajectory_stats(traj, site_sets=(((0), frozenset({0, 1, 2})),))
-    # counting stops once the walk first leaves {0, 1, 2} (at position 5)
-    assert st.visits_before_exit[(0, frozenset({0, 1, 2}))] == 3
-
-
-def test_trajectory_stats_inequalities_random():
-    rnd = np.random.default_rng(12)
-    for _ in range(20):
-        steps = rnd.choice([start for start in (50, 120)])
-        incs = rnd.choice([-2, -1, 1, 2], size=steps)
-        pos = np.concatenate([[0], np.cumsum(incs)])
-        traj = Trajectory(start=0, positions=tuple(int(v) for v in pos), stop_reason="horizon")
-        x, y = -1, 2
-        st = trajectory_stats(traj, sites=(x,), pairs=((x, y),))
-        assert st.trips[(x, y)] <= st.visits[x]
-        assert st.trips[(x, y)] <= st.crossings[(x, y)]
-
-
 def test_regeneration_times_examples():
     t1 = Trajectory(start=0, positions=(0, 1, 2, 3), stop_reason="horizon")
     assert regeneration_times(t1, 0) == [1, 2, 3]
@@ -326,15 +238,6 @@ def test_mean_hitting_heavy_tail_signature():
     assert fracs[0] >= fracs[1] >= fracs[2]  # plain censoring shrinks
     masses = [h * e.censored_fraction for h, e in zip((30, 100, 300), ests)]
     assert masses[0] < masses[1] < masses[2]
-
-
-def test_walk_stats_json_contract():
-    traj = Trajectory(start=0, positions=(0, 1, 0, -1, 2), stop_reason="horizon")
-    blob = trajectory_stats(traj, sites=(0,), pairs=((-1, 1),)).to_json()
-    assert set(blob) == {"H", "Htilde", "N", "N_trips", "N_cross", "regenerations"}
-    assert blob["H"]["0"] == 0 and blob["Htilde"]["0"] == 2
-    assert blob["N_trips"]["-1,1"] == 1
-    assert blob["regenerations"] == [4]
 
 
 def test_walk_increments_respect_jump_bounds():
