@@ -76,7 +76,8 @@ class UnreachableBoundary(RwdeError):
 
 
 class SingularSystem(RwdeError):
-    """The linear system could not be solved to the required residual."""
+    """An exact solve met a zero or non-finite rate, or a stationary vector
+    failed its checks."""
 
 
 class NoExit(RwdeError):

@@ -1,13 +1,13 @@
-"""Exact quenched computations on finite environments by linear algebra:
-hitting probabilities, expected occupation before exit, invariant measures,
-time reversal, and the escape-probability bracket on half-line truncations.
+"""Exact quenched computations on finite environments by subtraction-free
+elimination: hitting probabilities, expected occupation before exit,
+invariant measures, time reversal, and the escape-probability bracket on
+half-line truncations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .environment import _MIN_POSITIVE, Environment, check_rows
 from .errors import (
@@ -58,37 +58,33 @@ class EscapeBracket:
 def hitting_probability(problem: HittingProblem) -> dict:
     """z -> P^z(hit target before taboo) for the vertices z in order: the
     bounded harmonic solution with boundary values 1 on the target and 0 on
-    the taboo, clamped to [0, 1] once the solve has passed its residual check."""
+    the taboo, clamped to [0, 1]."""
     env = problem.env
     h = hitting_rows(env.graph, problem.target, problem.taboo, env.probs[None])
     return dict(zip(env.vertices, h[0].tolist()))
-
-
-# Unknowns times environments per batch in hitting_rows: 40 half-lines of
-# 512 sites are one batch, and 2000 are solved 64 at a time, in about 5 MB.
-_SOLVE_ENTRIES = 1 << 15
 
 
 def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.ndarray:
     """hitting_probability for k environments on g: row j of the (k, edges)
     matrix probs is environment j in ``g.edges()`` order, and row j of the
     result its values in ``g.vertices`` order; ValueError names target or
-    taboo members that are not vertices.  The masks, the reachability
-    classes and the system's structure are set up once; each row is then
-    filled, solved, checked and clamped as a solve of its own.
+    taboo members that are not vertices."""
+    _check_vertices(g, [*target, *taboo])
+    kind = np.zeros(len(g.vertices), dtype=np.int8)
+    for k, part in ((1, target), (2, taboo)):
+        kind[[g.index[v] for v in part]] = k
+    return _hitting(g, kind, probs)
+
+
+def _hitting(g: WeightedDigraph, kind: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """hitting_rows with the vertex classes kind: 0 unknown, 1 target, 2
+    taboo; kind gains the sure classes below in place.
 
     Every probability is positive, so which values are 0 or 1 is a property
     of the graph (Prob0/Prob1, Baier-Katoen, Principles of Model Checking):
     a vertex that cannot reach the target has h = 0, and one that cannot
     reach the taboo has h = 1 (every vertex it can reach reaches the
-    target).  Only the other vertices are solved for: a region that surely
-    hits the target can make the system ill-conditioned, and its solve can
-    pass the residual check with values off in the fifth digit."""
-    _check_vertices(g, [*target, *taboo])
-    # 0: unknown, 1: target or surely hits it, 2: taboo or never hits the target
-    kind = np.zeros(len(g.vertices), dtype=np.int8)
-    for k, part in ((1, target), (2, taboo)):
-        kind[[g.index[v] for v in part]] = k
+    target).  Only the other vertices are eliminated."""
     inner = (kind == 0).tolist()
     hits, meets = (np.array(g.reach(np.flatnonzero(kind == k).tolist(), inner, backward=True))
                    for k in (1, 2))
@@ -100,52 +96,118 @@ def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.nda
     kind[(kind == 0) & ~hits] = 2
     out = np.zeros((len(probs), len(g.vertices)))
     out[:, kind == 1] = 1.0
-    unknown = np.flatnonzero(kind == 0)
-    if not unknown.size:
-        return out
-
-    n = unknown.size
-    where, system, fill = _system_on(g, kind == 0)
-    to_target = np.flatnonzero((kind[g.tails] == 0) & (kind[g.cols] == 1))
-    b_rows = where[g.tails[to_target]]
-    step = max(1, _SOLVE_ENTRIES // n)
-    for lo in range(0, len(probs), step):
-        chunk = probs[lo:lo + step]
-        k = len(chunk)
-        # b accumulates each row's target probabilities left to right
-        b = np.bincount((np.arange(k)[:, None] * n + b_rows).ravel(),
-                        weights=chunk[:, to_target].ravel(), minlength=k * n).reshape(k, n)
-        x = system.solve(*fill(chunk), b)
+    if (kind == 0).any():
         # adding 0.0 turns a clamped -0.0 into 0.0
-        out[lo:lo + k, unknown] = np.clip(x, 0.0, 1.0) + 0.0
+        out[:, kind == 0] = np.clip(_eliminate(g, kind, probs), 0.0, 1.0) + 0.0
+    return out
+
+
+# Unknowns times environments per batch of the elimination: 1024 half-lines
+# of 512 sites are one batch, in about 20 MB for nearest-neighbour jumps.
+_SOLVE_ENTRIES = 1 << 19
+
+
+def _eliminate(g: WeightedDigraph, kind: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """P(reach class 1 before class 2) from the class-0 vertices (unknowns),
+    as a (k, unknowns) matrix, by state reduction (Grassmann, Taksar and
+    Heyman 1985).  The unknowns are eliminated in position order.  Unknown
+    j's exit rate is the sum of its entries to later unknowns and its target
+    and taboo mass, never 1 - p(j, j), so no loop entry is read.  Each later
+    unknown that jumps into j takes j's row, scaled by that jump over j's
+    rate.  A backward pass then gives
+    h(j) = (t(j) + sum_e a(j, j + e) h(j + e)) / rate(j).  Every operation
+    adds, multiplies or divides non-negative numbers, so each value is
+    accurate relative to its own size (O'Cinneide 1993), and the fill stays
+    inside the band of the unknowns' jumps.  Each environment is a column
+    of its own, so its floats do not depend on the batch."""
+    unknown = kind == 0
+    where = np.cumsum(unknown) - 1
+    n = int(where[-1]) + 1
+    rows, heads = unknown[g.tails], kind[g.cols]
+    off = np.flatnonzero(rows & (heads == 0) & (g.tails != g.cols))
+    tail, head = where[g.tails[off]], where[g.cols[off]]
+    lo, hi = int(np.max(tail - head, initial=0)), int(np.max(head - tail, initial=0))
+    B = lo + hi + 1
+    exits = [np.flatnonzero(rows & (heads == k)) for k in (1, 2)]
+    out = np.empty((len(probs), n))
+    step = max(1, _SOLVE_ENTRIES // n)
+    for first in range(0, len(probs), step):
+        chunk = probs[first:first + step]
+        k = len(chunk)
+        # unknown i's row: its entries to unknowns i - lo .. i + hi in
+        # columns 0 .. B - 1, then its target and its taboo mass; lo zero
+        # rows pad the end for the skewed view below
+        a = np.zeros((n + lo, B + 2, k))
+        a[tail, lo + head - tail] = chunk[:, off].T
+        for col, e in zip((B, B + 1), exits):  # each row's mass summed left to right
+            np.add.at(a[:, col], where[g.tails[e]], chunk[:, e].T)
+        # skew[j, d, e] is unknown j + d's entry to unknown j + e, and
+        # below[j, d - 1] the target and taboo mass of unknown j + d
+        s0, s1, s2 = a.strides
+        skew = np.lib.stride_tricks.as_strided(a[:, lo:], (n, lo + 1, hi + 1, k), (s0, s0 - s1, s1, s2))
+        below = np.lib.stride_tricks.as_strided(a[1:, B:], (n, lo, 2, k), (s0, s0, s1, s2))
+        rate = np.empty((n, k))
+        with np.errstate(all="ignore"):  # a zero or non-finite rate is caught below
+            for row, into, fill, exits_below, r in zip(a[:n, lo + 1:], skew[:, 1:, :1],
+                                                       skew[:, 1:, 1:], below, rate):
+                r[...] = np.add.accumulate(row)[-1]  # left to right for any k
+                if lo:
+                    f = into / r
+                    fill += f * row[:hi]
+                    exits_below += f * row[hi:]
+        bad = ~((rate > 0.0) & (rate < np.inf))
+        if bad.any():
+            j = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise SingularSystem(f"exit rate {rate[j][bad[j]][0]:.3e} at vertex "
+                                 f"{g.vertices[np.flatnonzero(unknown)[j]]!r}")
+        x = np.zeros((n + hi, k))
+        for j in range(n - 1, -1, -1):
+            x[j] = sum(a[j, lo + 1:B] * x[j + 1:j + 1 + hi], a[j, B]) / rate[j]
+        out[first:first + k] = x[:n].T
     return out
 
 
 def expected_visits(env: Environment, x, S) -> float:
-    """Expected number of visits to x, started at x, before first leaving S.
+    """Expected number of visits to x, started at x, before first leaving S."""
+    return float(visits_rows(env.graph, x, S, env.probs[None])[0])
 
-    Only x's strongly connected component C within S leads back to x, so the
-    system runs over C, and a closed class elsewhere in S cannot make it
-    singular.  Signals NoExit when no edge leaves C (the walk surely returns
-    to x and the expectation is infinite).
-    """
+
+def visits_rows(g: WeightedDigraph, x, S, probs: np.ndarray) -> np.ndarray:
+    """expected_visits for k environments on g: row j of the (k, edges)
+    matrix probs is environment j in ``g.edges()`` order, and entry j of
+    the result its expected visits.
+
+    Only x's strongly connected component C within S leads back to x, so
+    the visits are 1 over x's censored exit mass: sum_y p(x, y) h(y), with
+    h the chance of hitting the vertices outside C before x, and a closed
+    class elsewhere in S cannot make the system singular.  Signals NoExit
+    when no edge leaves C (the walk surely returns to x and the expectation
+    is infinite), and SingularSystem when the exit mass underflows to 0."""
     S = sorted(set(S))
     if x not in S:
         raise ValueError(f"start {x!r} not in S")
-    g = env.graph
     _check_vertices(g, S)
     ix = g.index[x]
     within = list(map(set(S).__contains__, g.vertices))
     comp = np.array(g.reach([ix], within)) & np.array(g.reach([ix], within, backward=True))
     if not (comp[g.tails] & ~comp[g.cols]).any():
         raise NoExit(f"the walk returns to {x!r} surely: no edge leaves its component in {S!r}")
-    where, system, fill = _system_on(g, comp)
-    e = np.zeros((1, system.n))
-    e[0, where[ix]] = 1.0
-    y = float(system.solve(*fill(env.probs[None]), e)[0, where[ix]])
-    if not y > 0.0:  # at least the visit at the start; a nan fails too
-        raise SingularSystem(f"expected visits solve gave {y:.3e}")
-    return y
+    kind = np.where(comp, 0, 1).astype(np.int8)
+    kind[ix] = 2
+    escape = _step_from(g, ix, _hitting(g, kind, probs), probs)
+    bad = ~((escape > 0.0) & (escape < np.inf))
+    if bad.any():
+        raise SingularSystem(f"exit mass {escape[bad][0]:.3e} from {x!r}")
+    return 1.0 / escape
+
+
+def _step_from(g: WeightedDigraph, i: int, h: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_y p(v, y) h(y) over the out-edges of the vertex v at position i,
+    for each row of probs and h, summed left to right."""
+    total = 0.0
+    for e in range(g.indptr[i], g.indptr[i + 1]):
+        total = total + probs[:, e] * h[:, g.cols[e]]
+    return total
 
 
 def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBracket:
@@ -176,12 +238,7 @@ def escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -
     h_up = hitting_rows(g, band, frozenset([0]), probs)
     # with L = 1 the band is {W} and the lower problem is the upper one
     h_lo = h_up if p.L == 1 else hitting_rows(g, frozenset([W]), frozenset([0]) | (band - {W}), probs)
-    upper = lower = 0.0
-    for j, h in enumerate(g.cols[:g.indptr[1]].tolist()):  # vertex 0 is row 0
-        # each row's sum over vertex 0's heads, left to right
-        upper = upper + probs[:, j] * h_up[:, h]
-        lower = lower + probs[:, j] * h_lo[:, h]
-    return lower, upper
+    return _step_from(g, 0, h_lo, probs), _step_from(g, 0, h_up, probs)
 
 
 def invariant_measure(env: Environment) -> dict:
@@ -208,80 +265,6 @@ def redirect_to(env: Environment, x, y) -> Environment:
     lo, hi = g.indptr[g.index[x]:g.index[x] + 2]
     probs = np.concatenate((env.probs[:lo], [1.0], env.probs[hi:]))
     return Environment(WeightedDigraph(edges, vertices=g.vertices), probs)
-
-
-# --- linear algebra ----------------------------------------------------------
-
-
-def _system_on(g: WeightedDigraph, keep: np.ndarray) -> tuple:
-    """I - P over the vertex positions flagged in keep: each position's place
-    among the unknowns, the _System, and fill(probs), the (diag, vals) of the
-    rows of a (k, edges) matrix probs, with the loops on the diagonal."""
-    where = np.cumsum(keep) - 1
-    inner = keep[g.tails] & keep[g.cols]
-    loop = inner & (g.tails == g.cols)
-    off = np.flatnonzero(inner & ~loop)
-    loop = np.flatnonzero(loop)
-    system = _System(int(keep.sum()), where[g.tails[off]], where[g.cols[off]])
-    loop_rows = where[g.tails[loop]]
-
-    def fill(probs):
-        diag = np.ones((len(probs), system.n))
-        diag[:, loop_rows] = 1.0 - probs[:, loop]
-        return diag, -probs[:, off]
-
-    return where, system, fill
-
-
-class _System:
-    """A unit-diagonal system of n unknowns: a diagonal plus off-diagonal
-    entries at the positions (rows, cols), listed row by row.  Every system
-    is one band matrix whose bandwidth is the largest |col - row|, up to
-    n - 1 when it is dense."""
-
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
-        self.n, self.rows, self.cols = n, rows, cols
-        self.bw = int(np.abs(cols - rows).max(initial=0))
-        # the residual sums each row left to right, diagonal first
-        r_all = np.concatenate((np.arange(n), rows))
-        self.order = np.argsort(r_all, kind="stable")
-        self.r_all = r_all[self.order]
-        self.c_all = np.concatenate((np.arange(n), cols))[self.order]
-
-    def solve(self, diag: np.ndarray, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solutions of the k systems given by the rows of diag (k, n), vals
-        (k, entries) and b (k, n), one solve each."""
-        n, bw, k = self.n, self.bw, len(b)
-        ab = np.zeros((k, 2 * bw + 1, n))
-        ab[:, bw] = diag
-        ab[:, bw + self.rows - self.cols, self.cols] = vals
-        v_all = np.concatenate((diag, vals), axis=1)[:, self.order]
-        shift = (np.arange(k)[:, None] * n + self.r_all).ravel()
-
-        def residual(x, sel):
-            # one bincount over the rows sel, each summed as a solve of its own
-            m = len(x)
-            return b[sel] - np.bincount(shift[:m * self.r_all.size],
-                                        weights=(v_all[sel] * x[:, self.c_all]).ravel(),
-                                        minlength=m * n).reshape(m, n)
-
-        x = np.array([_banded(bw, ab_i, b_i) for ab_i, b_i in zip(ab, b)]).reshape(k, n)
-        r = residual(x, slice(None))
-        resid = np.abs(r).max(axis=1)
-        for i in np.flatnonzero(resid > RESIDUAL_TOL).tolist():  # refinement cannot mend a nan
-            x[i] = x[i] + _banded(bw, ab[i], r[i])
-            resid[i] = np.abs(residual(x[i:i + 1], slice(i, i + 1))).max()
-        bad = np.flatnonzero(~(resid <= RESIDUAL_TOL))  # a NaN residual fails too
-        if bad.size:
-            raise SingularSystem(f"banded solve residual {resid[bad[0]]:.3e}")
-        return x
-
-
-def _banded(bw: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.solve_banded((bw, bw), ab, b)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(str(exc)) from exc
 
 
 def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:

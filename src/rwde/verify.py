@@ -7,15 +7,13 @@ comparisons use 3 or 4 standard errors as stated per suite.
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from . import solver, stats, walk
-from .environment import (
-    Environment,
-    RngStream,
-    sample_environment,
-    sample_rows,
-)
+from .environment import RngStream, sample_environment, sample_rows
 from .errors import UnreachableBoundary
 from .graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from .kappa import min_exit_weight
@@ -53,7 +51,7 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int,
     """Escape-bracket midpoints over independent half-line environments must
     follow the beta law with parameters (kappa1, d-)."""
     dp = derive_params(p)
-    g = build_halfline(p, window)
+    g = _halfline(p.L, p.R, tuple(sorted(p.alphas.items())), window)
     # the environments of sample_environments, bracketed in one batch
     lower, upper = solver.escape_brackets(p, g, sample_rows(g, RngStream(seed), replicas))
     mids = 0.5 * (lower + upper)  # EscapeBracket.midpoint and width
@@ -73,6 +71,13 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int,
         "warn": report.p_value < stats.P_WARN,
     }
     return passed, evidence
+
+
+@functools.lru_cache(maxsize=8)
+def _halfline(L: int, R: int, alphas: tuple, window: int) -> WeightedDigraph:
+    """build_halfline, kept per (L, R, sorted weights, window) with the
+    reachability lists the solver builds on it."""
+    return build_halfline(DirichletParams(L, R, dict(alphas)), window)
 
 
 # --- reinforced walk equals annealed law ------------------------------------
@@ -245,8 +250,10 @@ def loop_reversal(p: DirichletParams, runs: int, seed: int, M: int = 6) -> tuple
     for y in sorted(in_edges) if completed else ():
         pr = in_edges[y] / total_in
         freq = counts[y] / completed
-        se = (pr * (1.0 - pr) / completed) ** 0.5
-        # a neighbour with an expected share of exactly 1.0 must match exactly
+        # the square root before the division keeps a subnormal share's se
+        # above 0; a neighbour with an expected share of exactly 1.0 must
+        # match exactly
+        se = math.sqrt(pr * (1.0 - pr)) / math.sqrt(completed)
         z = abs(freq - pr) / se if se else (0.0 if freq == pr else float("inf"))
         worst_z = max(worst_z, z)
         rows.append({"from": y, "expected": pr, "observed": freq, "z": z})
@@ -327,8 +334,6 @@ def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tu
 
 # --- trap-moment exponent ----------------------------------------------------
 
-_TOURNIER_CHUNK = 4096  # environments per batched solve in tournier_exponent
-
 
 def tournier_graph() -> WeightedDigraph:
     """Five vertices including the sink 4.  The only strongly connected
@@ -350,20 +355,16 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
     sets containing 0."""
     g = tournier_graph()
     beta_min, witness = min_exit_weight(g, 0)
-    # rows of the transient vertices 0-3, then the sink's certain self-loop
     flat = sample_rows(g, RngStream(seed), n_envs)
-    inner = (g.tails < 4) & (g.cols < 4)
-    e0 = np.broadcast_to(np.eye(4)[:, :1], (_TOURNIER_CHUNK, 4, 1))
-    samples = np.empty(n_envs)
-    # in chunks, to bound the matrices; LAPACK solves each system on its own
-    for first in range(0, n_envs, _TOURNIER_CHUNK):
-        mats = np.tile(np.eye(4), (min(_TOURNIER_CHUNK, n_envs - first), 1, 1))
-        mats[:, g.tails[inner], g.cols[inner]] -= flat[first:first + len(mats), inner]
-        samples[first:first + len(mats)] = np.linalg.solve(mats, e0[:len(mats)])[:, 0, 0]
+    samples = solver.visits_rows(g, 0, [0, 1, 2, 3], flat)
 
-    # cross-check a few entries against the scalar solver path (a NaN fails)
-    refs = [solver.expected_visits(Environment(g, row), 0, [0, 1, 2, 3]) for row in flat[:3]]
-    max_dev = float(np.max(np.abs(np.subtract(refs, samples[:len(refs)])), initial=0.0))
+    # cross-check the first environments against a dense solve of
+    # (I - Q) G = e_0 over the transient vertices 0-3 (a NaN fails)
+    inner = (g.tails < 4) & (g.cols < 4)
+    mats = np.tile(np.eye(4), (min(3, n_envs), 1, 1))
+    mats[:, g.tails[inner], g.cols[inner]] -= flat[:len(mats), inner]
+    dense = np.linalg.solve(mats, np.eye(4)[:, :1])[:, 0, 0]
+    max_dev = float(np.max(np.abs(dense - samples[:len(dense)]), initial=0.0))
 
     k = stats.default_hill_k(n_envs)
     estimate = stats.hill_estimator(samples, k)

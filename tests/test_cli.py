@@ -333,6 +333,17 @@ def test_verify_loop_reversal_certain_neighbour_passes(capsys):
     assert {r["from"]: r["z"] for r in rep["evidence"]["per_neighbor"]}[6] == 0
 
 
+def test_verify_loop_reversal_subnormal_share_passes(capsys):
+    # the in-edge from 1 has the expected share 4.9e-324; squaring before the
+    # square root made its standard error 0, so the observed 0 scored z = inf
+    code = cli.main(["verify", "loop-reversal", "--alphas=-1:5e-324,1:1", "--steps", "50"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rep = _validated(captured.out)
+    z = {r["from"]: r["z"] for r in rep["evidence"]["per_neighbor"]}
+    assert rep["passed"] is True and 0.0 < z[1] < 1e-150
+
+
 def test_verify_loop_reversal_without_returns_fails_cleanly(capsys):
     # the single run never returns to 0: no frequency to score, no division
     code = cli.main(["verify", "loop-reversal", "--alphas=-1:1e-300,1:2e-300",

@@ -1,6 +1,9 @@
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from rwde import verify
 
@@ -25,22 +28,27 @@ def test_verify_uses_only_public_names():
     assert private == []
 
 
-def test_scipy_linalg_only_through_solve_banded_in_solver():
-    # every exact system is one band LU: in rwde, scipy.linalg is reached
-    # only as scipy.linalg.solve_banded, and only in solver (an alias or a
-    # from-import of it counts as a use of its own)
+def test_rwde_imports_no_scipy():
+    # every exact system is a subtraction-free elimination in numpy: no
+    # module of rwde imports scipy, directly or by a from-import
     src = pathlib.Path(verify.__file__).parent
-    uses = set()
+    uses = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
-                uses.update((path.stem, f"from {node.module} import {a.name}") for a in node.names)
-            elif isinstance(node, ast.Import):
-                uses.update((path.stem, f"import {a.name} as {a.asname}") for a in node.names
-                            if a.asname and a.name.startswith("scipy"))
-            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "scipy.linalg":
-                uses.add((path.stem, f"scipy.linalg.{node.attr}"))
-    assert sorted(uses) == [("solver", "scipy.linalg.solve_banded")]
+            if isinstance(node, ast.Import):
+                uses += [(path.stem, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                uses.append((path.stem, node.module))
+    assert uses == []
+
+
+def test_cli_import_loads_no_scipy():
+    # what every rwde command imports leaves scipy out of the process
+    code = "import sys, rwde.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = pathlib.Path(verify.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_standard_gamma_only_in_gamma_rows():

@@ -4,13 +4,14 @@ import math
 import pathlib
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwde import cli, verify
+from rwde import cli, solver, verify
 from rwde.environment import (
     _MIN_POSITIVE,
     Environment,
@@ -24,7 +25,6 @@ from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, bu
 from rwde.model import parse_alphas, validate_params
 from rwde.solver import (
     HittingProblem,
-    _System,
     escape_probability_bracket,
     expected_visits,
     hitting_probability,
@@ -105,8 +105,6 @@ def test_hitting_relatively_accurate_beside_a_sure_region():
     # solving for them anyway put h(7) 5.7e-5 off while passing the residual
     # check.  From 7 the walk jumps to 5, 6, 7 or 8, so h(7) is exact in
     # fractions of its own row.
-    from fractions import Fraction
-
     p = validate_params(2, 1, {-2: 1.0990082245445978, -1: 0.7463830502972442,
                                0: 0.33587285203753964, 1: 0.22828147810405125})
     env = sample_environment(build_window(p, 0, 8), RngStream(8, (2, 954)))
@@ -207,24 +205,37 @@ def test_expected_visits_reaching_a_closed_class_in_s():
 
 def test_expected_visits_rejects_a_non_positive_solution():
     # from 38 the walk leaves S (through 12 -> 11) with a chance below the
-    # rounding of the rows' sums, so even an exact solve of these floats is
-    # negative (-1.9085); expected visits are at least 1
+    # rounding of the rows' sums, so an exact solve of (I - P) G = e with
+    # these floats is negative (-1.9085) and a band LU raised SingularSystem;
+    # with each loop implied by its row's exit mass the visits are finite,
+    # about 1.25e25, and accurate relative to their size
     p = validate_params(1, 2, {-1: 0.5402508867090366, 0: 1.5387030276500022,
                                1: 1.380852156855922, 2: 0.862542020412901})
     g = build_window(p, 0, 54)
     env = sample_environments(g, RngStream(80), 3)[0]
-    with pytest.raises(SingularSystem):
-        expected_visits(env, 38, [v for v in g.vertices if v != 11])
+    S = [v for v in g.vertices if v != 11]
+    G = expected_visits(env, 38, S)
+    exact = _exact_visits(env, 38, S)
+    assert 1e25 < exact < 1e26
+    assert abs(Fraction(G) - exact) <= Fraction(1, 10**12) * exact
 
 
-def test_dense_solve_rejects_singular_system():
-    # exactly singular dense systems fail in the band LU, without a warning
-    for M, b in (([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]), ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0])):
-        M = np.array(M)
-        rows, cols = np.nonzero(M - np.diag(np.diag(M)))
-        with warnings.catch_warnings(), pytest.raises(SingularSystem):
+def test_zero_or_nan_exit_rate_is_singular_system():
+    # an exit rate that is 0 although the graph has an exit (all its entries
+    # underflowed) or that is NaN cannot be divided by: SingularSystem, and
+    # no warning on the way
+    g = build_window(NN, 0, 4)
+    x = g.index[2]
+    good = sample_rows(g, RngStream(2), 1)[0]
+    for bad in (0.0, np.nan):
+        probs = np.array([good, good])
+        probs[1, g.indptr[x]:g.indptr[x + 1]] = bad
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _System(2, rows, cols).solve(np.diag(M)[None], M[rows, cols][None], np.array([b]))
+            with pytest.raises(SingularSystem, match="at vertex 2"):
+                solver.hitting_rows(g, frozenset([4]), frozenset([0]), probs)
+            with pytest.raises(SingularSystem, match="from 2"):
+                solver.visits_rows(g, 2, [1, 2, 3], probs)
 
 
 def _visits_until_hit(rows, start, targets, horizon, rng):
@@ -464,8 +475,10 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_
 def test_solver_and_suite_outputs_golden():
     # recorded before the solvers moved to the graph's flat row layout (the
     # reversal suite since it walks its cycles in lockstep, the harmonic
-    # suite since values surely 0 or 1 are no longer solved for); a
-    # deliberate change of any of these outputs must update the file openly
+    # suite since values surely 0 or 1 are no longer solved for, the
+    # brackets and the tournier suite since every hitting and visits system
+    # is one subtraction-free elimination); a deliberate change of any of
+    # these outputs must update the file openly
     for text, by_seed in GOLDEN["brackets"].items():
         p, _ = parse_alphas(text)
         g = build_halfline(p, 128)
@@ -503,8 +516,9 @@ def test_wide_support_reversal_golden():
 
 def test_wide_support_beta_law_golden():
     # recorded before the beta-law suite drew its environments by runs of
-    # equal rows and solved its brackets in one batch: with L >= 2 the band
-    # has several vertices and the two bounds differ
+    # equal rows and solved its brackets in one batch (the bracket digests
+    # since the brackets are one subtraction-free elimination): with L >= 2
+    # the band has several vertices and the two bounds differ
     for text, pinned in GOLDEN["beta_law_wide"].items():
         p, _ = parse_alphas(text)
         _, ev = verify.run_suite("beta-law", p, seed=5, replicas=10, window=128)
@@ -634,17 +648,28 @@ def test_nan_reversed_entry_fails_the_reversal_suite(monkeypatch, part):
 
 
 def test_nan_visits_fail_the_tournier_cross_check(monkeypatch):
-    monkeypatch.setattr(verify.solver, "expected_visits", lambda env, x, S: math.nan)
+    # environment 1's visits become NaN; max() would keep the old value
+    real = solver.visits_rows
+
+    def poisoned(g, x, S, probs):
+        out = real(g, x, S, probs)
+        out[1] = math.nan
+        return out
+
+    monkeypatch.setattr(verify.solver, "visits_rows", poisoned)
     passed, ev = verify.tournier_exponent(n_envs=500, seed=4)
     assert math.isnan(ev["solver_cross_check_dev"]) and not passed
 
 
-def test_tournier_chunked_solve_is_bit_identical(monkeypatch):
-    # LAPACK solves each 4x4 system of the batch on its own
-    _, whole = verify.tournier_exponent(n_envs=500, seed=4)
-    monkeypatch.setattr(verify, "_TOURNIER_CHUNK", 7)
-    _, chunked = verify.tournier_exponent(n_envs=500, seed=4)
-    assert chunked == whole
+def test_tournier_visits_match_per_environment_calls():
+    # the suite's batched visits are the one-environment expected_visits
+    # floats, and its dense cross-check agrees with them
+    g = verify.tournier_graph()
+    flat = sample_rows(g, RngStream(4), 500)
+    batch = solver.visits_rows(g, 0, [0, 1, 2, 3], flat)
+    assert batch.tolist() == [expected_visits(Environment(g, row), 0, [0, 1, 2, 3]) for row in flat]
+    passed, ev = verify.tournier_exponent(n_envs=500, seed=4)
+    assert passed and ev["solver_cross_check_dev"] <= 1e-12
 
 
 def _bfs(succ, sources):
@@ -718,6 +743,85 @@ def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
             invariant_measure(env)
 
 
+def _exact_hitting(env, target, taboo):
+    """vertex -> P(hit target before taboo) as a Fraction, by state
+    reduction in exact arithmetic on the rows' floats: each unknown's loop
+    is dropped (its exit mass is the sum of its other entries), and
+    eliminating an unknown hands its row, scaled by the jump into it over
+    its exit mass, to every unknown not yet eliminated."""
+    rows = {v: {y: Fraction(q) for y, q in zip(*env.row(v)) if y != v} for v in env.vertices}
+    h = {v: Fraction(1) for v in target} | {v: Fraction(0) for v in taboo}
+    unknown = [v for v in env.vertices if v not in h]
+    for n, j in enumerate(unknown):
+        rate = sum(rows[j].values())
+        for i in unknown[n + 1:]:
+            if j in rows[i]:
+                f = rows[i].pop(j) / rate
+                for y, q in rows[j].items():
+                    if y != i:
+                        rows[i][y] = rows[i].get(y, 0) + f * q
+    for j in reversed(unknown):
+        h[j] = sum(q * h[y] for y, q in rows[j].items()) / sum(rows[j].values())
+    return h
+
+
+def _component(env, x, S):
+    """x's strongly connected component within S."""
+    succ = {v: [y for y in env.row(v)[0] if y in S] for v in S}
+    pred = {v: [t for t in S if v in succ[t]] for v in S}
+    return _bfs(succ, [x]) & _bfs(pred, [x])
+
+
+def _exact_visits(env, x, S):
+    """Expected visits to x before leaving S as a Fraction: 1 over the chance
+    of leaving x's strongly connected component C within S before returning
+    to x, with that chance from _exact_hitting."""
+    comp = _component(env, x, set(S))
+    h = _exact_hitting(env, [v for v in env.vertices if v not in comp], [x])
+    return 1 / sum(Fraction(q) * h[y] for y, q in zip(*env.row(x)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_environments(), st.data())
+def test_hitting_and_visits_against_exact_state_reduction(env, data):
+    # every value, however small, within 1e-12 of its own size
+    verts = list(env.vertices)
+    close = lambda got, exact: abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
+    target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
+    rest = [v for v in verts if v not in target]
+    taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
+    pred = {v: [t for t in verts if v in env.row(t)[0]] for v in verts}
+    if set(verts) <= _bfs(pred, target | taboo):
+        h = hitting_probability(HittingProblem(env, target, taboo))
+        exact = _exact_hitting(env, target, taboo)
+        assert all(close(h[v], exact[v]) for v in verts), (h, exact)
+
+    x = data.draw(st.sampled_from(verts))
+    S = {x} | set(data.draw(st.lists(st.sampled_from(verts), unique=True)))
+    comp = _component(env, x, S)
+    if all(set(env.row(v)[0]) <= comp for v in comp):
+        with pytest.raises(NoExit):
+            expected_visits(env, x, S)
+    else:
+        assert close(expected_visits(env, x, S), _exact_visits(env, x, S))
+
+
+@pytest.mark.parametrize("W", [64, 256, 1024])
+def test_hitting_matches_the_scale_function_on_symmetric_windows(W):
+    # recurrent (kappa1 = 0) windows [-W, W]: P_x(hit W before -W) is
+    # sum_{k < x} e^V(k) / sum_k e^V(k), V the log of the products of
+    # p(y, y - 1) / p(y, y + 1) over -W < y <= k, in log space; the band LU
+    # was off by up to 1.0 here while passing its residual check
+    g = build_window(NN, -W, W)
+    probs = sample_rows(g, RngStream(3), 400)
+    h = solver.hitting_rows(g, frozenset([W]), frozenset([-W]), probs)[:, 1:-1]
+    up, down = ([g.pos[y, y + s] for y in range(-W + 1, W)] for s in (1, -1))
+    V = np.cumsum(np.log(probs[:, down]) - np.log(probs[:, up]), axis=1)
+    log_sums = np.logaddexp.accumulate(np.concatenate((np.zeros((len(probs), 1)), V), axis=1), axis=1)
+    exact = np.exp(log_sums[:, :-1] - log_sums[:, -1:])
+    assert np.max(np.abs(h - exact) / exact) <= 1e-10
+
+
 def _outcome(fn):
     """fn's result, or the name of the rwde error it raised."""
     try:
@@ -733,15 +837,12 @@ def _per_environment_rows(g, target, taboo, probs):
     return np.array([[h[v] for v in g.vertices] for h in hs])
 
 
-def _assert_batch_matches(g, target, taboo, probs, entries, tol=1e-10):
+def _assert_batch_matches(g, target, taboo, probs, entries):
     from unittest import mock
 
-    from rwde import solver
-
-    with mock.patch.object(solver, "RESIDUAL_TOL", tol):
-        want = _outcome(lambda: _per_environment_rows(g, target, taboo, probs))
-        with mock.patch.object(solver, "_SOLVE_ENTRIES", entries):
-            got = _outcome(lambda: solver.hitting_rows(g, target, taboo, probs))
+    want = _outcome(lambda: _per_environment_rows(g, target, taboo, probs))
+    with mock.patch.object(solver, "_SOLVE_ENTRIES", entries):
+        got = _outcome(lambda: solver.hitting_rows(g, target, taboo, probs))
     if isinstance(want, str):
         assert got == want
     else:
@@ -775,7 +876,6 @@ def test_batched_hitting_raises_unreachable_boundary_as_single_solves():
 @given(st.integers(0, 2**32), st.integers(51, 160), st.integers(1, 8), st.integers(1, 600))
 def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W, k, entries):
     # half-lines of more than 50 unknowns: long systems of a narrow band
-    from rwde import solver
     from rwde.model import derive_params
     from conftest import random_params
 
@@ -787,9 +887,6 @@ def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W
     for target, taboo in ((band, frozenset([0])), (frozenset([W]), frozenset([0]) | (band - {W})),
                           (frozenset([0]), frozenset([W]))):
         _assert_batch_matches(g, target, taboo, probs, entries)
-        # a tolerance near the rounding error sends some rows through the
-        # refinement step, and some of those on to SingularSystem
-        _assert_batch_matches(g, target, taboo, probs, entries, tol=3e-17)
     if derive_params(p).kappa1 > 0:
         want = _outcome(lambda: [escape_probability_bracket(p, env) for env in envs])
         got = _outcome(lambda: solver.escape_brackets(p, g, probs))
