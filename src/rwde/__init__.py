@@ -32,9 +32,8 @@ from .model import (
     validate_params,
 )
 from .solver import (
-    EscapeBracket,
-    HittingProblem,
-    escape_probability_bracket,
+    EscapeEstimate,
+    escape_probability,
     expected_visits,
     hitting_probability,
     invariant_measure,

@@ -1,7 +1,7 @@
 """Exact quenched computations on finite environments by subtraction-free
 elimination: hitting probabilities, expected occupation before exit,
-invariant measures, time reversal, and the escape-probability bracket on
-half-line truncations.
+invariant measures, time reversal, and the escape probability from the
+origin of a half-line truncation.
 """
 from __future__ import annotations
 
@@ -23,52 +23,34 @@ RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class HittingProblem:
-    """Reach the target set A before the absorbing taboo set B."""
+class EscapeEstimate:
+    """The origin's escape probability on the half-line truncation [0,
+    window], and a bound on how much it can still fall between the windows
+    [0, window // 2] and [0, window] (see escape_rows)."""
 
-    env: Environment
-    target: frozenset
-    taboo: frozenset
-
-    def __post_init__(self):
-        if not self.target:
-            raise ValueError("target set must be nonempty")
-        if self.target & self.taboo:
-            raise ValueError("target and taboo sets must be disjoint")
-
-
-@dataclass(frozen=True)
-class EscapeBracket:
-    """Bounds on the never-return probability from the origin of a half-line
-    truncation; lower <= true value's truncation estimate <= upper."""
-
-    lower: float
-    upper: float
+    value: float
+    truncation: float
     window: int
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-
-def hitting_probability(problem: HittingProblem) -> dict:
+def hitting_probability(env: Environment, target, taboo) -> dict:
     """z -> P^z(hit target before taboo) for the vertices z in order: the
     bounded harmonic solution with boundary values 1 on the target and 0 on
     the taboo, clamped to [0, 1]."""
-    env = problem.env
-    h = hitting_rows(env.graph, problem.target, problem.taboo, env.probs[None])
+    h = hitting_rows(env.graph, target, taboo, env.probs[None])
     return dict(zip(env.vertices, h[0].tolist()))
 
 
 def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.ndarray:
     """hitting_probability for k environments on g: row j of the (k, edges)
     matrix probs is environment j in ``g.edges()`` order, and row j of the
-    result its values in ``g.vertices`` order; ValueError names target or
-    taboo members that are not vertices."""
+    result its values in ``g.vertices`` order.  ValueError names target or
+    taboo members that are not vertices, and rejects an empty target and a
+    target that meets the taboo."""
+    if not target:
+        raise ValueError("target set must be nonempty")
+    if set(target) & set(taboo):
+        raise ValueError("target and taboo sets must be disjoint")
     _check_vertices(g, [*target, *taboo])
     kind = np.zeros(len(g.vertices), dtype=np.int8)
     for k, part in ((1, target), (2, taboo)):
@@ -210,35 +192,46 @@ def _step_from(g: WeightedDigraph, i: int, h: np.ndarray, probs: np.ndarray) -> 
     return total
 
 
-def escape_probability_bracket(p: DirichletParams, env: Environment) -> EscapeBracket:
-    """Bracket the origin's never-return probability on a half-line
-    truncation [0, W].
-
-    Upper bound: absorption anywhere in the right reentry band
-    [W-L+1, W] counts as certain escape.  Lower bound: only reaching the far
-    vertex W counts as escape, and absorption elsewhere in the band counts as
-    certain return to 0.  For nearest-neighbor jumps the band is the single
-    vertex W and the two bounds coincide.
-    """
-    lower, upper = escape_brackets(p, env.graph, env.probs[None])
-    return EscapeBracket(lower=float(lower[0]), upper=float(upper[0]), window=max(env.vertices))
+def escape_probability(p: DirichletParams, env: Environment) -> EscapeEstimate:
+    """escape_rows for the one environment env on a half-line truncation."""
+    value, truncation = escape_rows(p, env.graph, env.probs[None])
+    return EscapeEstimate(value=float(value[0]), truncation=float(truncation[0]),
+                          window=max(env.vertices))
 
 
-def escape_brackets(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tuple:
-    """escape_probability_bracket for k environments on the half-line g: row
-    j of the (k, edges) matrix probs is environment j in ``g.edges()`` order,
-    and entry j of the two result arrays its lower and upper bound."""
+def escape_rows(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tuple:
+    """The origin's escape probability on the half-line truncation g = [0, W]
+    for k environments, with a truncation bound from the same solve: row j
+    of the (k, edges) matrix probs is environment j in ``g.edges()`` order,
+    and entry j of the two result arrays its value and its bound.
+
+    value = sum_y p(0, y) h(y), with h the chance of reaching the far band
+    [W-L+1, W] before returning to 0.  It falls as W grows, toward the
+    never-return probability.  No finite window gives a lower bound in a
+    random environment: what lies beyond W can always send the walk back.
+
+    truncation bounds how much value falls from the window W' = W // 2
+    (the same environment on [0, W'], heads above W' clamped) to W.  A walk
+    from below W'-L+1 first lands at or beyond it in B' = [W'-L+1, W'-L+R],
+    so by the strong Markov property upper(W') - value <= upper(W') *
+    max_B'(1 - h) and value >= upper(W') * min_B' h, which gives
+    truncation = value * max_B'(1 - h) / min_B' h.  It does not bound the
+    distance to the never-return probability itself, only the last halving
+    of the window.  When B' reaches 0 (W < 2L) min_B' h is 0 and the bound
+    is inf."""
     dp = derive_params(p)
     if dp.kappa1_is_zero or dp.kappa1 < 0.0:
-        raise ValueError(f"escape bracket needs kappa1 > 0, got {dp.kappa1}")
+        raise ValueError(f"escape probability needs kappa1 > 0, got {dp.kappa1}")
     W = max(g.vertices)
     if g.vertices != tuple(range(W + 1)):
         raise ValueError("environment must live on a half-line truncation [0, W]")
-    band = frozenset(range(W - p.L + 1, W + 1))
-    h_up = hitting_rows(g, band, frozenset([0]), probs)
-    # with L = 1 the band is {W} and the lower problem is the upper one
-    h_lo = h_up if p.L == 1 else hitting_rows(g, frozenset([W]), frozenset([0]) | (band - {W}), probs)
-    return _step_from(g, 0, h_lo, probs), _step_from(g, 0, h_up, probs)
+    h = hitting_rows(g, frozenset(range(W - p.L + 1, W + 1)), frozenset([0]), probs)
+    value = _step_from(g, 0, h, probs)
+    first = W // 2 - p.L + 1
+    landing = h[:, max(first, 0):max(first + p.R, 1)]  # B' within [0, W], vertex 0 if W < 2L
+    with np.errstate(divide="ignore", invalid="ignore"):
+        truncation = value * np.max(1.0 - landing, axis=1) / np.min(landing, axis=1)
+    return value, truncation
 
 
 def invariant_measure(env: Environment) -> dict:

@@ -46,19 +46,23 @@ def run_suite(name: str, p: DirichletParams | None, *, seed: int, replicas: int 
 # --- beta escape law ---------------------------------------------------------
 
 
-def beta_law(p: DirichletParams, replicas: int, window: int, seed: int,
-             width_tol: float = 1e-3) -> tuple:
-    """Escape-bracket midpoints over independent half-line environments must
-    follow the beta law with parameters (kappa1, d-)."""
+# The largest mean truncation bound (solver.escape_rows) the beta-law suite
+# accepts: the escape probabilities may still fall by this much on average
+# between half the window and the window.
+WIDTH_TOL = 1e-3
+
+
+def beta_law(p: DirichletParams, replicas: int, window: int, seed: int) -> tuple:
+    """Escape probabilities over independent half-line environments must
+    follow the beta law with parameters (kappa1, d-), and their mean
+    truncation bound must lie below WIDTH_TOL."""
     dp = derive_params(p)
     g = _halfline(p.L, p.R, tuple(sorted(p.alphas.items())), window)
-    # the environments of sample_environments, bracketed in one batch
-    lower, upper = solver.escape_brackets(p, g, sample_rows(g, RngStream(seed), replicas))
-    mids = 0.5 * (lower + upper)  # EscapeBracket.midpoint and width
-    widths = upper - lower
-    report = stats.ks_test(mids, stats.beta_cdf(dp.kappa1, dp.d_minus))
-    mean_width = float(widths.mean())
-    passed = report.p_value > stats.P_FAIL and mean_width < width_tol
+    # the environments of sample_environments, solved in one batch
+    values, truncations = solver.escape_rows(p, g, sample_rows(g, RngStream(seed), replicas))
+    report = stats.ks_test(values, stats.beta_cdf(dp.kappa1, dp.d_minus))
+    mean_truncation = float(truncations.mean())
+    passed = report.p_value > stats.P_FAIL and mean_truncation < WIDTH_TOL
     evidence = {
         "kappa1": dp.kappa1,
         "d_minus": dp.d_minus,
@@ -66,8 +70,8 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int,
         "replicas": replicas,
         "ks_statistic": report.statistic,
         "ks_p_value": report.p_value,
-        "mean_bracket_width": mean_width,
-        "width_tolerance": width_tol,
+        "mean_bracket_width": mean_truncation,  # the name earlier reports and their readers use
+        "width_tolerance": WIDTH_TOL,
         "warn": report.p_value < stats.P_WARN,
     }
     return passed, evidence
@@ -309,7 +313,7 @@ def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tu
             continue
         y = y_opts[rnd.randrange(len(y_opts))]
         try:
-            h = solver.hitting_probability(solver.HittingProblem(env, A, B))
+            h = solver.hitting_probability(env, A, B)
         except UnreachableBoundary:
             continue
         if h[y] < h[x]:
@@ -318,7 +322,7 @@ def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tu
                 continue
         env2 = solver.redirect_to(env, x, y)
         try:
-            h2 = solver.hitting_probability(solver.HittingProblem(env2, A, B))
+            h2 = solver.hitting_probability(env2, A, B)
         except UnreachableBoundary:
             continue
         drop = min(h2[z] - h[z] for z in g.vertices)

@@ -133,6 +133,16 @@ def test_verify_beta_law_small(capsys):
     assert rep["evidence"]["ks_p_value"] > 1e-3
 
 
+def test_verify_beta_law_wide_support_passes(capsys):
+    # with L = 2 the suite tested the midpoint of a bracket that stayed
+    # about 0.12 wide at every window, and exited 2 with KS p = 3.7e-30
+    code, out = _run(capsys, "verify", "beta-law", "--alphas=-2:1,-1:0.5,1:1,2:1", "--seed", "3")
+    rep = _validated(out)
+    assert code == 0, rep
+    assert rep["passed"] is True
+    assert rep["evidence"]["mean_bracket_width"] < rep["evidence"]["width_tolerance"]
+
+
 def test_verify_failure_exit_code(capsys):
     # absurdly small sample forced against the wrong law: width criterion holds
     # but KS must reject with wrong shape parameters; emulate by tournier with

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwde import cli, solver, verify
@@ -24,8 +24,7 @@ from rwde.errors import NoExit, NotStronglyConnected, SingularSystem, Unreachabl
 from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from rwde.model import parse_alphas, validate_params
 from rwde.solver import (
-    HittingProblem,
-    escape_probability_bracket,
+    escape_probability,
     expected_visits,
     hitting_probability,
     invariant_measure,
@@ -52,14 +51,14 @@ def _nn_env(p_right, graph=None):
 
 def test_hitting_boundary_conditions():
     env = _nn_env([0.5] * 4)
-    h = hitting_probability(HittingProblem(env, frozenset([5]), frozenset([0])))
+    h = hitting_probability(env, frozenset([5]), frozenset([0]))
     assert h[5] == 1.0 and h[0] == 0.0
 
 
 def test_hitting_symmetric_ruin():
     N = 10
     env = _nn_env([0.5] * (N - 1))
-    h = hitting_probability(HittingProblem(env, frozenset([N]), frozenset([0])))
+    h = hitting_probability(env, frozenset([N]), frozenset([0]))
     for z in range(N + 1):
         assert h[z] == pytest.approx(z / N, abs=1e-10)
 
@@ -70,7 +69,7 @@ def test_hitting_random_environment_against_closed_form():
         N = int(rnd.integers(5, 60))
         p_right = rnd.uniform(0.2, 0.9, size=N - 1)
         env = _nn_env(p_right)
-        h = hitting_probability(HittingProblem(env, frozenset([N]), frozenset([0])))
+        h = hitting_probability(env, frozenset([N]), frozenset([0]))
         oracle = gambler_ruin_up_probability(p_right)
         for z in range(N + 1):
             assert h[z] == pytest.approx(oracle[z], abs=1e-9)
@@ -81,8 +80,8 @@ def test_hitting_complementary_problems_sum_to_one():
     p_right = rnd.uniform(0.2, 0.9, size=20)
     env = _nn_env(p_right)
     N = len(p_right) + 1
-    a = hitting_probability(HittingProblem(env, frozenset([N]), frozenset([0])))
-    b = hitting_probability(HittingProblem(env, frozenset([0]), frozenset([N])))
+    a = hitting_probability(env, frozenset([N]), frozenset([0]))
+    b = hitting_probability(env, frozenset([0]), frozenset([N]))
     for z in env.vertices:
         assert a[z] + b[z] == pytest.approx(1.0, abs=1e-10)
 
@@ -96,7 +95,7 @@ def test_hitting_unreachable_boundary():
     }
     env = Environment.from_rows(g, rows)
     with pytest.raises(UnreachableBoundary):
-        hitting_probability(HittingProblem(env, frozenset([0]), frozenset()))
+        hitting_probability(env, frozenset([0]), frozenset())
 
 
 def test_hitting_relatively_accurate_beside_a_sure_region():
@@ -108,7 +107,7 @@ def test_hitting_relatively_accurate_beside_a_sure_region():
     p = validate_params(2, 1, {-2: 1.0990082245445978, -1: 0.7463830502972442,
                                0: 0.33587285203753964, 1: 0.22828147810405125})
     env = sample_environment(build_window(p, 0, 8), RngStream(8, (2, 954)))
-    h = hitting_probability(HittingProblem(env, frozenset({6}), frozenset({8})))
+    h = hitting_probability(env, frozenset({6}), frozenset({8}))
     q = {y: Fraction(env.prob(7, y)) for y in (5, 6, 8)}
     exact = (q[5] + q[6]) / (q[5] + q[6] + q[8])
     assert [h[x] for x in range(6)] == [1.0] * 6
@@ -120,12 +119,12 @@ def test_harmonic_surgery_never_lowers_values():
     g = build_window(p, 0, 8)
     env = sample_environment(g, RngStream(21))
     A, B = frozenset([8]), frozenset([0])
-    h = hitting_probability(HittingProblem(env, A, B))
+    h = hitting_probability(env, A, B)
     interior = [v for v in env.vertices if v not in A | B]
     x = min(interior, key=lambda v: h[v])
     y = max(interior, key=lambda v: h[v])
     env2 = redirect_to(env, x, y)
-    h2 = hitting_probability(HittingProblem(env2, A, B))
+    h2 = hitting_probability(env2, A, B)
     for z in env.vertices:
         assert h2[z] >= h[z] - 1e-10
 
@@ -155,9 +154,9 @@ def test_unknown_vertices_are_value_errors():
     env = sample_environment(build_window(p, 0, 4), RngStream(1))
     missing = r"vertices not in graph: \[99\]"
     with pytest.raises(ValueError, match=missing):
-        hitting_probability(HittingProblem(env, frozenset([99]), frozenset([0])))
+        hitting_probability(env, frozenset([99]), frozenset([0]))
     with pytest.raises(ValueError, match=missing):
-        hitting_probability(HittingProblem(env, frozenset([4]), frozenset([0, 99])))
+        hitting_probability(env, frozenset([4]), frozenset([0, 99]))
     with pytest.raises(ValueError, match=missing):
         env.row(99)
     with pytest.raises(ValueError, match=missing):
@@ -165,6 +164,19 @@ def test_unknown_vertices_are_value_errors():
     with pytest.raises(ValueError, match=missing):
         env.prob(1, 99)
     assert env.prob(0, 4) == 0.0  # a non-edge between vertices
+
+
+def test_empty_or_overlapping_target_is_a_value_error():
+    # the batch call used to return all zeros for both
+    p, _ = parse_alphas("-1:1,1:1")
+    g = build_window(p, 0, 6)
+    env = sample_environment(g, RngStream(1))
+    for target, taboo, message in ((set(), {0}, "nonempty"), ({3}, {3}, "disjoint"),
+                                   ({3, 6}, {0, 6}, "disjoint")):
+        with pytest.raises(ValueError, match=message):
+            solver.hitting_rows(g, target, taboo, env.probs[None])
+        with pytest.raises(ValueError, match=message):
+            hitting_probability(env, target, taboo)
 
 
 def test_expected_visits_no_exit():
@@ -286,12 +298,14 @@ def test_escape_bracket_deterministic_right():
     rows[W] = ((W,), np.array([1.0]))
     env = Environment.from_rows(g, rows)
     p = validate_params(1, 1, {-1: 1e-9, 1: 1.0})
-    br = escape_probability_bracket(p, env)
-    assert (br.lower, br.upper) == (1.0, 1.0)
+    est = escape_probability(p, env)
+    assert (est.value, est.truncation, est.window) == (1.0, 0.0, W)
 
 
 def test_escape_bracket_constant_drift():
-    # p = 2/3 everywhere: escape probability 1/2 in the window limit
+    # p = 2/3 everywhere: h(z) = (1 - 2^-z) / (1 - 2^-W) is the chance of
+    # reaching W before 0 from z, the escape probability is h(1) and the
+    # truncation bound reads h at B' = {W / 2}
     W = 64
     g = build_halfline(NN, W)
     rows = {0: ((1,), np.array([1.0]))}
@@ -300,9 +314,12 @@ def test_escape_bracket_constant_drift():
     rows[W] = ((W - 1, W), np.array([1 / 3, 2 / 3]))
     env = Environment.from_rows(g, rows)
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    br = escape_probability_bracket(p, env)
-    assert br.width == 0.0  # nearest-neighbor band is the single far vertex
-    assert br.midpoint == pytest.approx(0.5, abs=1e-3)
+    est = escape_probability(p, env)
+    h = lambda z: (1 - Fraction(1, 2**z)) / (1 - Fraction(1, 2**W))
+    assert est.value == pytest.approx(float(h(1)), rel=1e-12)
+    truncation = h(1) * (1 - h(W // 2)) / h(W // 2)
+    assert est.truncation == pytest.approx(float(truncation), rel=1e-5)
+    assert 1.1e-10 < est.truncation < 1.2e-10
 
 
 def test_escape_bracket_matches_product_formula():
@@ -310,10 +327,10 @@ def test_escape_bracket_matches_product_formula():
     W = 128
     g = build_halfline(p, W)
     env = sample_environment(g, RngStream(55))
-    br = escape_probability_bracket(p, env)
+    est = escape_probability(p, env)
     p_right = np.array([env.prob(z, z + 1) for z in range(1, W)])
     oracle = gambler_ruin_up_probability(p_right)
-    assert br.upper == pytest.approx(oracle[1], abs=1e-9)
+    assert est.value == pytest.approx(oracle[1], abs=1e-9)
 
 
 def test_escape_bracket_bounds_and_window_refinement():
@@ -333,11 +350,48 @@ def test_escape_bracket_bounds_and_window_refinement():
             heads = tuple(sorted(merged))
             rows1[x] = (heads, np.array([merged[h] for h in heads]))
         env1 = Environment.from_rows(g1, rows1)
-        b1 = escape_probability_bracket(p, env1)
-        b2 = escape_probability_bracket(p, env2)
-        assert b1.lower <= b1.upper + 1e-15
-        assert b2.lower <= b2.upper + 1e-15
-        assert b2.upper <= b1.upper + 1e-12  # upper tightens with the window
+        b1 = escape_probability(p, env1)
+        b2 = escape_probability(p, env2)
+        assert b2.value <= b1.value + 1e-12  # the value falls as the window grows
+
+
+def test_escape_truncation_is_inf_when_half_the_window_reaches_the_origin():
+    # W < 2L: B' reaches the taboo vertex 0, where h = 0; the bound is inf,
+    # with no warning, and the suite's width gate fails
+    for text, W in (("-3:1,1:5", 5), ("-6:1,1:10", 8)):
+        p, _ = parse_alphas(text)
+        g = build_halfline(p, W)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, truncation = solver.escape_rows(p, g, sample_rows(g, RngStream(1), 3))
+            passed, ev = verify.beta_law(p, replicas=3, window=W, seed=1)
+        assert np.all(value > 0.0) and np.all(truncation == np.inf), text
+        assert ev["mean_bracket_width"] == np.inf and not passed, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_escape_truncation_bounds_the_fall_from_half_the_window(seed, data):
+    # upper(W') is the chance of reaching [W'-L+1, W] before 0: the same
+    # rows restricted to [0, W'] with heads above W' clamped.  With R = 1
+    # the bound is an equality, so the rounding of upper(W') - value, in
+    # ulp of the larger upper(W'), decides: 12 ulp at worst over 6,000 such
+    # environments, where 8 ulp of value failed 15 of them
+    from conftest import random_params
+    from rwde.model import derive_params, reflect
+
+    p = random_params(random.Random(seed))
+    dp = derive_params(p)
+    assume(not dp.kappa1_is_zero)
+    if dp.kappa1 < 0:
+        p = reflect(p)
+    W = data.draw(st.integers(2 * (p.L + p.R), 96))
+    g = build_halfline(p, W)
+    probs = sample_rows(g, RngStream(seed), 4)
+    value, truncation = solver.escape_rows(p, g, probs)
+    half = solver.hitting_rows(g, frozenset(range(W // 2 - p.L + 1, W + 1)), frozenset([0]), probs)
+    upper = solver._step_from(g, 0, half, probs)
+    assert np.all(upper - value <= truncation + 64 * np.spacing(upper)), (upper - value, truncation)
 
 
 def test_invariant_measure_two_state():
@@ -476,15 +530,17 @@ def test_solver_and_suite_outputs_golden():
     # recorded before the solvers moved to the graph's flat row layout (the
     # reversal suite since it walks its cycles in lockstep, the harmonic
     # suite since values surely 0 or 1 are no longer solved for, the
-    # brackets and the tournier suite since every hitting and visits system
-    # is one subtraction-free elimination); a deliberate change of any of
-    # these outputs must update the file openly
+    # escape values and the tournier suite since every hitting and visits
+    # system is one subtraction-free elimination, the truncation bounds and
+    # the beta-law suite's width since they replaced the bracket's lower
+    # bound); a deliberate change of any of these outputs must update the
+    # file openly
     for text, by_seed in GOLDEN["brackets"].items():
         p, _ = parse_alphas(text)
         g = build_halfline(p, 128)
-        for seed, (lower, upper) in by_seed.items():
-            br = escape_probability_bracket(p, sample_environment(g, RngStream(int(seed))))
-            assert (repr(br.lower), repr(br.upper)) == (lower, upper), (text, seed)
+        for seed, (truncation, value) in by_seed.items():
+            est = escape_probability(p, sample_environment(g, RngStream(int(seed))))
+            assert (repr(est.truncation), repr(est.value)) == (truncation, value), (text, seed)
     p, _ = parse_alphas("-1:1,1:2")
     env = sample_environment(build_drift_closure(p, 6), RngStream(7))
     rev_dump = time_reverse(env).dump().encode()
@@ -516,21 +572,21 @@ def test_wide_support_reversal_golden():
 
 def test_wide_support_beta_law_golden():
     # recorded before the beta-law suite drew its environments by runs of
-    # equal rows and solved its brackets in one batch (the bracket digests
-    # since the brackets are one subtraction-free elimination): with L >= 2
-    # the band has several vertices and the two bounds differ
+    # equal rows and solved them in one batch (the digests since the escape
+    # values are one subtraction-free elimination and carry a truncation
+    # bound): with L >= 2 the far band has several vertices
     for text, pinned in GOLDEN["beta_law_wide"].items():
         p, _ = parse_alphas(text)
         _, ev = verify.run_suite("beta-law", p, seed=5, replicas=10, window=128)
         assert cli.dumps(ev) == pinned["evidence"], text
         envs = sample_environments(build_halfline(p, 128), RngStream(5), 10)
-        brs = [(repr(b.lower), repr(b.upper))
-               for b in (escape_probability_bracket(p, env) for env in envs)]
-        assert hashlib.sha256(repr(brs).encode()).hexdigest() == pinned["brackets_sha256"], text
+        ests = [(repr(e.value), repr(e.truncation))
+                for e in (escape_probability(p, env) for env in envs)]
+        assert hashlib.sha256(repr(ests).encode()).hexdigest() == pinned["brackets_sha256"], text
 
 
 def test_beta_law_brackets_the_environments_of_sample_environments():
-    # the suite draws and brackets in batches; its evidence must be that of
+    # the suite draws and solves in batches; its evidence must be that of
     # the public one-environment calls, for one replica (a one-stream draw)
     # and for several (a vertex-by-vertex draw)
     from rwde import stats
@@ -541,12 +597,12 @@ def test_beta_law_brackets_the_environments_of_sample_environments():
         dp = derive_params(p)
         for replicas in (1, 3):
             envs = sample_environments(build_halfline(p, 64), RngStream(4), replicas)
-            brs = [escape_probability_bracket(p, env) for env in envs]
-            report = stats.ks_test(np.array([b.midpoint for b in brs]),
+            ests = [escape_probability(p, env) for env in envs]
+            report = stats.ks_test(np.array([e.value for e in ests]),
                                    stats.beta_cdf(dp.kappa1, dp.d_minus))
             _, ev = verify.beta_law(p, replicas=replicas, window=64, seed=4)
             assert ev["ks_statistic"] == report.statistic, (text, replicas)
-            assert ev["mean_bracket_width"] == float(np.mean([b.width for b in brs]))
+            assert ev["mean_bracket_width"] == float(np.mean([e.truncation for e in ests]))
 
 
 def _skewed_closure():
@@ -714,12 +770,11 @@ def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
     succ = {v: env.row(v)[0] for v in verts}
     pred = {v: [t for t in verts if v in succ[t]] for v in verts}
     unknown = [v for v in verts if v not in target | taboo]
-    problem = HittingProblem(env, target, taboo)
     if not set(unknown) <= _bfs(pred, target | taboo):
         with pytest.raises(UnreachableBoundary):
-            hitting_probability(problem)
+            hitting_probability(env, target, taboo)
     else:
-        h = hitting_probability(problem)
+        h = hitting_probability(env, target, taboo)
         M = np.eye(len(unknown))
         b = np.zeros(len(unknown))
         for i, v in enumerate(unknown):
@@ -792,7 +847,7 @@ def test_hitting_and_visits_against_exact_state_reduction(env, data):
     taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
     pred = {v: [t for t in verts if v in env.row(t)[0]] for v in verts}
     if set(verts) <= _bfs(pred, target | taboo):
-        h = hitting_probability(HittingProblem(env, target, taboo))
+        h = hitting_probability(env, target, taboo)
         exact = _exact_hitting(env, target, taboo)
         assert all(close(h[v], exact[v]) for v in verts), (h, exact)
 
@@ -832,7 +887,7 @@ def _outcome(fn):
 
 def _per_environment_rows(g, target, taboo, probs):
     """hitting_probability on each row of probs, as a (rows, vertices) matrix."""
-    hs = [hitting_probability(HittingProblem(Environment(g, row), target, taboo))
+    hs = [hitting_probability(Environment(g, row), target, taboo)
           for row in probs]
     return np.array([[h[v] for v in g.vertices] for h in hs])
 
@@ -883,14 +938,14 @@ def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W
     g = build_halfline(p, W)
     envs = sample_environments(g, RngStream(seed), k)
     probs = np.array([e.probs for e in envs])
-    band = frozenset(range(W - p.L + 1, W + 1))
-    for target, taboo in ((band, frozenset([0])), (frozenset([W]), frozenset([0]) | (band - {W})),
+    band, half = (frozenset(range(w - p.L + 1, W + 1)) for w in (W, W // 2))
+    for target, taboo in ((band, frozenset([0])), (half, frozenset([0])),
                           (frozenset([0]), frozenset([W]))):
         _assert_batch_matches(g, target, taboo, probs, entries)
     if derive_params(p).kappa1 > 0:
-        want = _outcome(lambda: [escape_probability_bracket(p, env) for env in envs])
-        got = _outcome(lambda: solver.escape_brackets(p, g, probs))
+        want = _outcome(lambda: [escape_probability(p, env) for env in envs])
+        got = _outcome(lambda: solver.escape_rows(p, g, probs))
         if isinstance(want, str):
             assert got == want
         else:
-            assert [(b.lower, b.upper) for b in want] == list(zip(*(a.tolist() for a in got)))
+            assert [(e.value, e.truncation) for e in want] == list(zip(*(a.tolist() for a in got)))
