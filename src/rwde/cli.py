@@ -60,10 +60,11 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="rwde")
     sub = parser.add_subparsers(required=True)
 
-    def common(sp, alphas_required=True):
+    def common(sp, alphas_required=True, seeded=True):
         sp.add_argument("--alphas", required=alphas_required,
                         help="comma-separated offset:weight pairs, e.g. '-1:1,1:2'")
-        sp.add_argument("--seed", type=int, default=0)
+        if seeded:  # the kappa0 search draws nothing
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     for name, help_text, func in (
@@ -71,10 +72,8 @@ def _build_parser():
         ("kappa0", "trap-exponent search only", cmd_kappa0),
     ):
         sp = sub.add_parser(name, help=help_text)
-        common(sp)
+        common(sp, seeded=False)
         sp.add_argument("--max-diameter", type=int, default=None)
-        sp.add_argument("--strategy", choices=("exhaustive", "branch_and_bound"),
-                        default="branch_and_bound")
         sp.add_argument("--require-certified", action="store_true")
         sp.set_defaults(func=func)
 
@@ -109,7 +108,7 @@ def _search(args) -> tuple:
     max_d = args.max_diameter
     if max_d is None:
         max_d = max(dp.m0, min(diameter_bound(p, dp), DEFAULT_ANALYZE_DIAMETER))
-    return p, dp, max_d, kappa0_search(p, max_d, strategy=args.strategy)
+    return p, dp, max_d, kappa0_search(p, max_d)
 
 
 def _emit_search(report: dict, args, k0) -> int:
@@ -146,7 +145,6 @@ def cmd_kappa0(args) -> int:
         "command": "kappa0",
         "alphas": {str(i): p.alphas[i] for i in sorted(p.alphas)},
         "max_diameter": max_d,
-        "strategy": args.strategy,
         "kappa0": _k0_json(k0),
     }
     return _emit_search(report, args, k0)

@@ -1,9 +1,9 @@
 """Trap exit weights, the certified kappa0 search, and regime classification.
 
 kappa0 is the minimum total weight leaving a finite strongly connected vertex
-set.  It is found by searching subsets of [0, max_diameter] whose leftmost
-point is 0: exhaustively for small diameters, and by depth-first
-branch-and-bound otherwise.  Two facts make the pruning sharp:
+set.  It is found by a depth-first branch-and-bound over the subsets of
+[0, max_diameter] whose leftmost point is 0, walked on an explicit stack, so
+the diameter has no depth limit.  Two facts make the pruning sharp:
 
 * every support offset must exit at least once from a strongly connected set
   (the extreme points always exit), giving a per-offset floor on any
@@ -24,12 +24,6 @@ from .graphs import WeightedDigraph, strongly_connected
 from .model import DirichletParams, DerivedParams, _sc_bits, derive_params
 
 DEFAULT_NODE_BUDGET = 50_000_000
-# 2^D subsets: D = 24, the CLI's default diameter, takes 36-41 s on 2 CPUs
-EXHAUSTIVE_MAX_DIAMETER = 24
-# _BnB._dfs recurses once per site; under Python's default recursion limit
-# of 1000 it overflows above D = 985-994 called directly or from the CLI and
-# above D = 956 under pytest
-BRANCH_AND_BOUND_MAX_DIAMETER = 900
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,6 @@ def diameter_bound(p: DirichletParams, dp: DerivedParams | None = None) -> int:
 def kappa0_search(
     p: DirichletParams,
     max_diameter: int,
-    strategy: str = "branch_and_bound",
     node_budget: int = DEFAULT_NODE_BUDGET,
     threads: int = 1,
 ) -> Kappa0Result:
@@ -111,33 +104,18 @@ def kappa0_search(
     containing 0 with min(S) = 0.
 
     Ties are broken toward the smallest cardinality, then lexicographically
-    smallest offset tuple, so the witness is reproducible.  ``exhaustive``
-    enumerates every subset, up to diameter EXHAUSTIVE_MAX_DIAMETER (24),
-    and serves as the oracle for ``branch_and_bound``, which goes up to
-    BRANCH_AND_BOUND_MAX_DIAMETER (900).  The search runs in one process;
-    ``threads`` accepts only 1.
+    smallest offset tuple, so the witness is reproducible.  The search stops
+    after ``node_budget`` nodes (``budget_exhausted``, not certified).  It
+    runs in one process; ``threads`` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (the search runs in one process), got {threads}")
     dp = derive_params(p)
     if max_diameter < dp.m0:
         raise DiameterTooSmall(f"max_diameter {max_diameter} < m0 = {dp.m0}")
-    if strategy not in ("exhaustive", "branch_and_bound"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "exhaustive" and max_diameter > EXHAUSTIVE_MAX_DIAMETER:
-        raise ValueError(f"exhaustive search enumerates 2^{max_diameter} subsets; use "
-                         f"branch_and_bound above diameter {EXHAUSTIVE_MAX_DIAMETER}")
-    if strategy == "branch_and_bound" and max_diameter > BRANCH_AND_BOUND_MAX_DIAMETER:
-        raise ValueError(f"branch_and_bound recurses once per site and stops at diameter "
-                         f"{BRANCH_AND_BOUND_MAX_DIAMETER}, got {max_diameter}")
 
-    seed = _seed_candidate(p, dp, max_diameter)
-    if strategy == "exhaustive":
-        key, nodes = _exhaustive(p, max_diameter, seed)
-        exhausted = False
-    else:
-        key, nodes, exhausted = _BnB(p, max_diameter).run(seed, node_budget)
-
+    key, nodes, exhausted = _branch_and_bound(
+        p, max_diameter, _seed_candidate(p, dp, max_diameter), node_budget)
     value, _, offsets = key
     witness = exit_weights(p, offsets)
     bound = diameter_bound(p, dp)
@@ -225,124 +203,86 @@ def _seed_candidate(p, dp, max_diameter):
     return best  # may be None in pathological cases; search still covers all
 
 
-def _exhaustive(p, D, seed):
-    """Bit-parallel enumeration of all subsets of [0, D] containing 0."""
-    support = [i for i in p.support if i != 0]
-    has_loop = p.alphas.get(0, 0.0) > 0.0
-    weights = {i: p.alphas[i] for i in support}
-    best = seed
-    nodes = 0
-    for m in range(1 << D):
-        mask = (m << 1) | 1
-        nodes += 1
-        if mask == 1:
-            if not has_loop:
-                continue
-        elif not _sc_bits(mask, support):
-            continue
-        beta = 0.0
-        for i in support:
-            shifted = (mask >> i) if i > 0 else (mask << -i)
-            beta += weights[i] * (mask & ~shifted).bit_count()
-        if best is not None and beta > best[0]:
-            continue
-        S = tuple(z for z in range(D + 1) if (mask >> z) & 1)
-        key = (beta, len(S), S)
-        if best is None or key < best:
-            best = key
-    return best, nodes
+def _branch_and_bound(p, D, best, budget):
+    """Depth-first membership search over vertices 1..D with 0 included,
+    from the incumbent ``best`` (beta, card, offsets) or None.  Returns
+    (best, nodes explored, budget exhausted).
 
+    A stack entry is a pending node (k, decision at k - 1, counts, floors):
+    vertices 0..k-1 are decided, ``counts`` holds the per-offset exits of
+    the decided set and ``floors`` the finalized ones.  The include child is
+    pushed last, so it is explored first.  Counts are integers and every
+    exit weight is the same offset-ordered weighted sum that exit_weights
+    uses, so exact ties survive to the deterministic tie-break.
 
-class _BnB:
-    """Depth-first membership search over vertices 1..D with 0 included.
-
-    The per-offset exit counts of the decided set are maintained as integers
-    and every exit weight is evaluated as the same offset-ordered weighted
-    sum that exit_weights uses, so values are bit-identical to the exhaustive
-    strategy and exact ties survive to the deterministic tie-break.
-
-    Lower bound at a partial assignment = max(current exit weight of the
-    decided set, weighted sum of max(finalized exit count, 1)); appending
-    undecided vertices (all strictly right of the decided span) can only grow
-    the former, and every support offset must exit a strongly connected set
-    at least once for the latter.
+    Lower bound at a node = max(current exit weight of the decided set,
+    weighted sum of max(finalized exit count, 1)); appending undecided
+    vertices (all strictly right of the decided span) can only grow the
+    former, and every support offset must exit a strongly connected set at
+    least once for the latter.
     """
-
-    def __init__(self, p: DirichletParams, D: int):
-        self.D = D
-        self.support = tuple(i for i in p.support if i != 0)
-        self.alphas = tuple(p.alphas[i] for i in self.support)
-        self.has_loop = p.alphas.get(0, 0.0) > 0.0
-        self.nodes = 0
-        self.exhausted = False
-
-    def run(self, seed, budget):
-        self.budget = budget
-        self.best = seed  # (beta, card, offsets) or None
-        self.in_set = [True] + [False] * self.D
-        m = len(self.support)
-        self.counts = [1] * m   # exits of the decided set ({0}: every offset exits)
-        self.floors = [0] * m   # finalized exits only
-        self._dfs(1)
-        return self.best, self.nodes, self.exhausted
-
-    def _weighted(self, counts) -> float:
-        total = 0.0
-        for w, c in zip(self.alphas, counts):
-            total += c * w
-        return total
-
-    def _apply(self, k, include):
-        in_set = self.in_set
-        if include:
-            for j, i in enumerate(self.support):
-                t = k - i
-                if 0 <= t < k and in_set[t]:
-                    self.counts[j] -= 1  # edge (t, k) no longer exits
-                h = k + i
-                if h < 0 or h > self.D or (h < k and not in_set[h]):
-                    self.floors[j] += 1  # finalized exit from k
-                    self.counts[j] += 1
-                elif not (0 <= h < k and in_set[h]):
-                    self.counts[j] += 1  # head undecided: exits for now
-            in_set[k] = True
-        else:
-            for j, i in enumerate(self.support):
-                t = k - i
-                if 0 <= t < k and in_set[t]:
-                    self.floors[j] += 1  # edge (t, k) finalized as an exit
-
-    def _dfs(self, k):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.exhausted = True
-            return
-        best = self.best
+    support = tuple(i for i in p.support if i != 0)
+    alphas = tuple(p.alphas[i] for i in support)
+    has_loop = p.alphas.get(0, 0.0) > 0.0
+    in_set = [False] * (D + 1)
+    nodes = 0
+    # {0}: every offset exits, none of them finalized
+    stack = [(1, True, [1] * len(support), [0] * len(support))]
+    while stack:
+        k, include, counts, floors = stack.pop()
+        in_set[k - 1] = include  # entries at k and above are stale until decided
+        nodes += 1
+        if nodes > budget:
+            return best, nodes, True
         if best is not None:
-            lb = self._weighted(self.counts)
-            floor_lb = self._weighted([c if c >= 1 else 1 for c in self.floors])
+            lb = _weighted(alphas, counts)
+            floor_lb = _weighted(alphas, [c if c >= 1 else 1 for c in floors])
             if floor_lb > lb:
                 lb = floor_lb
             if lb > best[0]:
-                return
-        if k > self.D:
-            S = tuple(z for z in range(self.D + 1) if self.in_set[z])
+                continue
+        if k > D:
+            S = tuple(z for z in range(D + 1) if in_set[z])
             if len(S) == 1:
-                if not self.has_loop:
-                    return
-            elif not _sc_bits(sum(1 << z for z in S), self.support):
-                return
-            key = (self._weighted(self.counts), len(S), S)
+                if not has_loop:
+                    continue
+            elif not _sc_bits(sum(1 << z for z in S), support):
+                continue
+            key = (_weighted(alphas, counts), len(S), S)
             if best is None or key < best:
-                self.best = key
-            return
-        counts, floors = self.counts[:], self.floors[:]
-        for include in (True, False):
-            self._apply(k, include)
-            self._dfs(k + 1)
-            self.counts[:] = counts
-            self.floors[:] = floors
-            self.in_set[k] = False
-            if self.exhausted:
-                return
+                best = key
+            continue
+        stack.append((k + 1, False, *_child(support, D, in_set, k, False, counts, floors)))
+        stack.append((k + 1, True, *_child(support, D, in_set, k, True, counts, floors)))
+    return best, nodes, False
 
+
+def _weighted(alphas, counts) -> float:
+    total = 0.0
+    for w, c in zip(alphas, counts):
+        total += c * w
+    return total
+
+
+def _child(support, D, in_set, k, include, counts, floors) -> tuple:
+    """(counts, floors) after deciding vertex k, with 0..k-1 decided as in
+    ``in_set``.  The lists passed in are left as they are."""
+    floors = floors[:]
+    if include:
+        counts = counts[:]
+        for j, i in enumerate(support):
+            t = k - i
+            if 0 <= t < k and in_set[t]:
+                counts[j] -= 1  # edge (t, k) no longer exits
+            h = k + i
+            if h < 0 or h > D or (h < k and not in_set[h]):
+                floors[j] += 1  # finalized exit from k
+                counts[j] += 1
+            elif not (0 <= h < k and in_set[h]):
+                counts[j] += 1  # head undecided: exits for now
+    else:
+        for j, i in enumerate(support):
+            t = k - i
+            if 0 <= t < k and in_set[t]:
+                floors[j] += 1  # edge (t, k) finalized as an exit
+    return counts, floors

@@ -147,8 +147,8 @@ def _sc_bits(mask: int, support) -> bool:
     connected under the jumps in `support`: does bit 0 reach every set bit,
     and every set bit reach bit 0, inside the set?  A singleton passes;
     callers apply their own self-loop rule.  The mirrored pass is written
-    out, not built as a negated offset list, because the exhaustive search
-    calls this once per subset."""
+    out, not built as a negated offset list, because the exhaustive oracle of
+    the tests calls this once per subset."""
     reach = frontier = 1
     while frontier:  # forward: the sites bit 0 reaches
         nxt = 0

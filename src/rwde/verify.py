@@ -57,7 +57,12 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int) -> tuple
     follow the beta law with parameters (kappa1, d-), and their mean
     truncation bound must lie below WIDTH_TOL."""
     dp = derive_params(p)
-    g = _halfline(p.L, p.R, tuple(sorted(p.alphas.items())), window)
+    g = _halfline(p.L, p.R, tuple(sorted(p.alphas.items())), window)  # WTooSmall if window <= R + L
+    if window < 2 * p.L:
+        # the truncation bound looks at the window's half, whose landing band
+        # then reaches the origin, and is inf for every environment
+        raise ValueError(f"beta-law window {window} < 2L = {2 * p.L}: half the window "
+                         f"has no room for a landing band of width L = {p.L}")
     # the environments of sample_environments, solved in one batch
     values, truncations = solver.escape_rows(p, g, sample_rows(g, RngStream(seed), replicas))
     report = stats.ks_test(values, stats.beta_cdf(dp.kappa1, dp.d_minus))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rwde.model import DirichletParams, validate_params
+from rwde.model import DirichletParams, _sc_bits, validate_params
 
 ACCEPTANCE_LINES = []
 
@@ -48,6 +48,35 @@ def random_params(rnd, max_side: int = 3, lo: float = 0.1, hi: float = 3.0) -> D
         except Exception:
             continue
     raise AssertionError
+
+
+def exhaustive_kappa0(p: DirichletParams, D: int) -> tuple:
+    """Minimum exit weight over strongly connected subsets of [0, D] with
+    leftmost point 0, by bit-parallel enumeration of all 2^D of them: the
+    reference for the branch-and-bound search.  Returns (beta, card,
+    offsets), the least key under the search's tie-break."""
+    support = [i for i in p.support if i != 0]
+    has_loop = p.alphas.get(0, 0.0) > 0.0
+    weights = {i: p.alphas[i] for i in support}
+    best = None
+    for m in range(1 << D):
+        mask = (m << 1) | 1
+        if mask == 1:
+            if not has_loop:
+                continue
+        elif not _sc_bits(mask, support):
+            continue
+        beta = 0.0
+        for i in support:
+            shifted = (mask >> i) if i > 0 else (mask << -i)
+            beta += weights[i] * (mask & ~shifted).bit_count()
+        if best is not None and beta > best[0]:
+            continue
+        S = tuple(z for z in range(D + 1) if (mask >> z) & 1)
+        key = (beta, len(S), S)
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def reach_closure_oracle(n: int, edges) -> np.ndarray:

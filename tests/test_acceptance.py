@@ -16,7 +16,7 @@ from rwde.kappa import exit_weights, kappa0_search
 from rwde.model import derive_params, reflect, validate_params
 from rwde.walk import _LineWalker, estimate_velocity
 import conftest
-from conftest import random_params
+from conftest import exhaustive_kappa0, random_params
 
 B7 = validate_params(16, 5, {-16: 1 / 67, 2: 15 / 67, 5: 5 / 67})
 S4 = (0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16)
@@ -65,9 +65,9 @@ def test_acceptance_01_closed_form_oracle_suite():
     start = time.time()
     for p, expected in closed_forms():
         checked += 1
-        res = kappa0_search(p, 12, strategy="exhaustive")
-        if abs(res.value - expected) > 1e-9:
-            failures.append((p.alphas, res.value, expected))
+        beta, _, _ = exhaustive_kappa0(p, 12)
+        if abs(beta - expected) > 1e-9:
+            failures.append((p.alphas, beta, expected))
     elapsed = time.time() - start
     ok = not failures and checked == 500 and elapsed < 60
     assert _report(1, "kappa0 closed forms, 5 x 100 draws", ok,
@@ -77,7 +77,7 @@ def test_acceptance_01_closed_form_oracle_suite():
 
 def test_acceptance_02_wide_support_witness():
     start = time.time()
-    res = kappa0_search(B7, 40, strategy="branch_and_bound")
+    res = kappa0_search(B7, 40)
     vals = {
         "S1": exit_weights(B7, tuple(range(0, 17, 2))).beta,
         "S2": exit_weights(B7, (0, 5, 10, 15, 16, 20, 25, 30, 32)).beta,
@@ -106,9 +106,9 @@ def test_acceptance_03_strategies_identical():
         p = random_params(rnd)
         m0 = derive_params(p).m0
         D = min(12, max(m0, rnd.randrange(5, 13)))
-        a = kappa0_search(p, D, strategy="exhaustive")
-        b = kappa0_search(p, D, strategy="branch_and_bound")
-        if (a.value, a.witness.offsets) != (b.value, b.witness.offsets):
+        beta, _, offsets = exhaustive_kappa0(p, D)
+        b = kappa0_search(p, D)
+        if (beta, offsets) != (b.value, b.witness.offsets):
             mismatches += 1
     elapsed = time.time() - start
     ok = mismatches == 0 and elapsed < 300

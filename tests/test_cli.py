@@ -64,8 +64,8 @@ def test_analyze_validation_error(capsys):
 
 
 def test_analyze_deterministic_reruns(capsys):
-    _, out1 = _run(capsys, "analyze", "--alphas", "-1:0.3,1:0.9,2:0.25", "--seed", "5")
-    _, out2 = _run(capsys, "analyze", "--alphas", "-1:0.3,1:0.9,2:0.25", "--seed", "5")
+    _, out1 = _run(capsys, "analyze", "--alphas", "-1:0.3,1:0.9,2:0.25")
+    _, out2 = _run(capsys, "analyze", "--alphas", "-1:0.3,1:0.9,2:0.25")
     assert out1 == out2
 
 
@@ -141,6 +141,14 @@ def test_verify_beta_law_wide_support_passes(capsys):
     assert code == 0, rep
     assert rep["passed"] is True
     assert rep["evidence"]["mean_bracket_width"] < rep["evidence"]["width_tolerance"]
+
+
+def test_verify_beta_law_window_below_2L_is_a_json_error(capsys):
+    # half of a 5-site window leaves no landing band clear of the origin for
+    # L = 3: the truncation bound was inf and the suite exited 2
+    rep = _run_error(capsys, "verify", "beta-law", "--alphas=-3:1,1:5", "--window", "5",
+                     "--replicas", "20", "--seed", "1")
+    assert "window 5 < 2L = 6" in rep["error"]["message"]
 
 
 def test_verify_failure_exit_code(capsys):
@@ -308,16 +316,25 @@ def test_regeneration_without_room_for_two_regenerations_is_a_json_error(capsys)
     assert code == 0 and _validated(out)["steps"] == 22
 
 
-def test_exhaustive_search_above_cap_is_a_json_error(capsys):
-    rep = _run_error(capsys, "kappa0", "--alphas=-1:1,1:2", "--max-diameter", "40",
-                     "--strategy", "exhaustive")
-    assert "branch_and_bound" in rep["error"]["message"]
+def test_strategy_and_seed_flags_rejected(capsys):
+    # one search path (the exhaustive oracle lives in the tests), and the
+    # search draws nothing: both flags were accepted by analyze and kappa0
+    for command in ("analyze", "kappa0"):
+        for flag, value in (("--strategy", "exhaustive"), ("--seed", "5")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--alphas=-1:1,1:2", flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
-def test_branch_and_bound_above_cap_is_a_json_error(capsys):
-    # the search used to overflow Python's stack here with a RecursionError
-    rep = _run_error(capsys, "kappa0", "--alphas=-1:1,1:2", "--max-diameter", "1200")
-    assert "recurses once per site" in rep["error"]["message"]
+def test_kappa0_deep_search_is_certified(capsys):
+    # the search used to overflow Python's stack with a RecursionError, then
+    # refused diameters above 900 with a JSON error
+    code, out = _run(capsys, "kappa0", "--alphas=-2:1,0:1,1:1", "--max-diameter", "5000",
+                     "--require-certified")
+    assert code == 0
+    rep = _validated(out)
+    assert rep["kappa0"]["value"] == 2.0 and rep["kappa0"]["certified"] is True
 
 
 def test_unwritable_out_is_a_json_error(tmp_path, capsys):
@@ -394,11 +411,10 @@ def _argv(draw):
     argv = [command] + ([draw(st.sampled_from(verify.SUITES))] if command == "verify" else [])
     if command != "verify" or draw(st.booleans()):
         argv.append(f"--alphas={draw(_alphas())}")
-    if draw(st.booleans()):
+    if command not in ("analyze", "kappa0") and draw(st.booleans()):
         argv += ["--seed", str(draw(st.integers(0, 20)))]
     if command in ("analyze", "kappa0"):
-        argv += ["--max-diameter", size(12),
-                 "--strategy", draw(st.sampled_from(["exhaustive", "branch_and_bound"]))]
+        argv += ["--max-diameter", size(12)]
         argv += ["--require-certified"] if draw(st.booleans()) else []
     elif command == "simulate":
         argv += ["--steps", size(2000)]

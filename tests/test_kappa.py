@@ -5,8 +5,6 @@ import pytest
 
 from rwde.errors import DiameterTooSmall, EmptySet, UncertifiedKappa0
 from rwde.kappa import (
-    BRANCH_AND_BOUND_MAX_DIAMETER,
-    EXHAUSTIVE_MAX_DIAMETER,
     classify_regime,
     diameter_bound,
     exit_weights,
@@ -15,7 +13,7 @@ from rwde.kappa import (
 )
 from rwde.graphs import WeightedDigraph, build_window, strongly_connected
 from rwde.model import derive_params, reflect, validate_params
-from conftest import random_params
+from conftest import exhaustive_kappa0, random_params
 
 B7 = validate_params(16, 5, {-16: 1 / 67, 2: 15 / 67, 5: 5 / 67})
 S4 = (0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16)
@@ -111,16 +109,16 @@ def test_search_sparse_left_jump_family():
     res = kappa0_search(p, 12)
     assert res.value == pytest.approx(6.0, abs=1e-12)
     assert res.witness.offsets == (0, 3, 6)
-    res_e = kappa0_search(p, 12, strategy="exhaustive")
-    assert (res_e.value, res_e.witness.offsets) == (res.value, res.witness.offsets)
+    beta, _, offsets = exhaustive_kappa0(p, 12)
+    assert (beta, offsets) == (res.value, res.witness.offsets)
 
 
 def test_search_wide_support_compact_diameter():
     # the witness has diameter 16 but the precondition needs m0 = 18
-    res = kappa0_search(B7, 18, strategy="exhaustive")
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert res.witness.offsets == S4
-    assert not res.certified  # certified bound is far larger
+    beta, _, offsets = exhaustive_kappa0(B7, 18)
+    assert beta == pytest.approx(1.0, abs=1e-9)
+    assert offsets == S4
+    assert not kappa0_search(B7, 18).certified  # certified bound is far larger
 
 
 def test_branch_and_bound_matches_exhaustive_randomized():
@@ -128,10 +126,10 @@ def test_branch_and_bound_matches_exhaustive_randomized():
     for _ in range(40):
         p = random_params(rnd)
         D = max(derive_params(p).m0, rnd.randrange(4, 11))
-        a = kappa0_search(p, D, strategy="exhaustive")
-        b = kappa0_search(p, D, strategy="branch_and_bound")
-        assert a.value == b.value
-        assert a.witness.offsets == b.witness.offsets
+        beta, _, offsets = exhaustive_kappa0(p, D)
+        b = kappa0_search(p, D)
+        assert beta == b.value
+        assert offsets == b.witness.offsets
 
 
 def test_monotone_under_outside_extension():
@@ -279,23 +277,13 @@ def test_search_runs_in_one_process():
         kappa0_search(p, 6, threads=2)
 
 
-def test_exhaustive_search_diameter_capped():
-    # 2^D subsets: the cap is the CLI's default diameter
-    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    assert EXHAUSTIVE_MAX_DIAMETER == 24
-    with pytest.raises(ValueError, match="branch_and_bound"):
-        kappa0_search(p, EXHAUSTIVE_MAX_DIAMETER + 1, strategy="exhaustive")
-    assert kappa0_search(p, EXHAUSTIVE_MAX_DIAMETER + 1).value == 3.0
-
-
-def test_branch_and_bound_diameter_capped():
-    # _BnB._dfs recurses once per site: the cap leaves room under pytest's
-    # deeper stack, and the first dive reaches the full depth in D nodes
-    p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    res = kappa0_search(p, BRANCH_AND_BOUND_MAX_DIAMETER, node_budget=2 * BRANCH_AND_BOUND_MAX_DIAMETER)
-    assert res.value == 3.0 and res.budget_exhausted
-    with pytest.raises(ValueError, match="recurses once per site"):
-        kappa0_search(p, BRANCH_AND_BOUND_MAX_DIAMETER + 1)
+def test_branch_and_bound_deep_search():
+    # the search used to recurse once per site and refuse diameters above
+    # 900; here the all-exclude chain is 5,001 nodes deep
+    p = validate_params(2, 1, {-2: 1.0, 0: 1.0, 1: 1.0})
+    res = kappa0_search(p, 5000)
+    assert _pin(res) == (2.0, (0,), 10001, False)
+    assert res.certified
 
 
 def test_diameter_bound_overflow_names_weights():

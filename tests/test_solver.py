@@ -357,16 +357,16 @@ def test_escape_bracket_bounds_and_window_refinement():
 
 def test_escape_truncation_is_inf_when_half_the_window_reaches_the_origin():
     # W < 2L: B' reaches the taboo vertex 0, where h = 0; the bound is inf,
-    # with no warning, and the suite's width gate fails
+    # with no warning, and the suite rejects such a window up front
     for text, W in (("-3:1,1:5", 5), ("-6:1,1:10", 8)):
         p, _ = parse_alphas(text)
         g = build_halfline(p, W)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, truncation = solver.escape_rows(p, g, sample_rows(g, RngStream(1), 3))
-            passed, ev = verify.beta_law(p, replicas=3, window=W, seed=1)
         assert np.all(value > 0.0) and np.all(truncation == np.inf), text
-        assert ev["mean_bracket_width"] == np.inf and not passed, text
+        with pytest.raises(ValueError, match=rf"window {W} < 2L = {2 * p.L}"):
+            verify.beta_law(p, replicas=3, window=W, seed=1)
 
 
 @settings(max_examples=60, deadline=None)
