@@ -11,8 +11,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import verify
 from .environment import RngStream
 from .errors import RwdeError
@@ -235,10 +233,6 @@ def dumps(obj) -> str:
         return "{" + ",".join(f"{dumps(str(k))}:{dumps(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return dumps(float(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -23,7 +23,7 @@ class WeightedDigraph:
     """
 
     __slots__ = ("vertices", "index", "pos", "indptr", "tails", "cols", "weights", "by_head",
-                 "head_ptr", "row_groups", "_heads", "_strong", "_rev", "_adj")
+                 "head_ptr", "row_groups", "_heads", "_rev", "_adj")
 
     def __init__(self, edges, vertices=()):
         import numpy as np
@@ -51,7 +51,7 @@ class WeightedDigraph:
         # np.unique: its sort maps 0.4 MB more of numpy into the process.
         rows = [np.flatnonzero(deg == d) for d in sorted(set(deg.tolist()))]
         self.row_groups = [(r, self.indptr[r, None] + np.arange(deg[r[0]])) for r in rows]
-        self._heads = self._strong = self._rev = self._adj = None
+        self._heads = self._rev = self._adj = None
 
     def _edges_at(self, flat, ends) -> dict:
         return dict(zip(map(self.vertices.__getitem__, ends[flat].tolist()),
@@ -119,14 +119,6 @@ class WeightedDigraph:
                     seen[w] = True
                     stack.append(w)
         return seen
-
-    def strongly_connected(self) -> bool:
-        """Every vertex reaches every other (computed on the first call)."""
-        if self._strong is None:
-            self._strong = len(self.vertices) < 2 or (
-                all(self.reach([0])) and all(self.reach([0], backward=True))
-            )
-        return self._strong
 
 
 def build_window(p: DirichletParams, a: int, b: int) -> WeightedDigraph:

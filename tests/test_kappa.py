@@ -3,8 +3,10 @@ import warnings
 
 import pytest
 
+from rwde import kappa
 from rwde.errors import DiameterTooSmall, EmptySet, UncertifiedKappa0
 from rwde.kappa import (
+    _seed_candidate,
     classify_regime,
     diameter_bound,
     exit_weights,
@@ -215,8 +217,9 @@ def test_uncertified_warning_emitted():
         classify_regime(B7, res)
 
 
-def test_node_budget_flags_partial_result():
-    res = kappa0_search(B7, 40, node_budget=500)
+def test_node_budget_flags_partial_result(monkeypatch):
+    monkeypatch.setattr(kappa, "NODE_BUDGET", 500)
+    res = kappa0_search(B7, 40)
     assert res.budget_exhausted and not res.certified
     assert res.value >= 1.0 - 1e-12  # incumbent is always a valid upper bound
 
@@ -268,6 +271,20 @@ def test_search_pinned_outputs_randomized():
         p = random_params(rnd)
         D = max(derive_params(p).m0, 12)
         assert _pin(kappa0_search(p, D)) == expected
+
+
+def test_seed_candidate_is_a_trap_inside_the_diameter():
+    # the search starts from this incumbent, so it is never without one
+    rnd = random.Random(21)
+    for _ in range(300):
+        p = random_params(rnd, max_side=6)
+        dp = derive_params(p)
+        D = dp.m0 + rnd.randrange(5)
+        beta, card, offsets = _seed_candidate(p, dp)
+        assert offsets[0] == 0 and offsets[-1] <= D and card == len(offsets)
+        # a singleton is a trap only with a self-loop, as the graph's rule says
+        assert strongly_connected(build_window(p, 0, D), offsets), (p, offsets)
+        assert beta == exit_weights(p, offsets).beta
 
 
 def test_search_runs_in_one_process():

@@ -25,7 +25,6 @@ GOLDEN = pathlib.Path(__file__).parent / "golden_m0.json"
 def test_validate_minimal_nearest_neighbor():
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
     assert p.support == (-1, 1)
-    assert p.weight(1) == 2.0
 
 
 def test_validate_gcd_violation():

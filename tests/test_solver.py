@@ -20,8 +20,20 @@ from rwde.environment import (
     sample_environments,
     sample_rows,
 )
-from rwde.errors import NoExit, NotStronglyConnected, SingularSystem, UnreachableBoundary
-from rwde.graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
+from rwde.errors import (
+    GcdViolation,
+    NoExit,
+    NotStronglyConnected,
+    SingularSystem,
+    UnreachableBoundary,
+)
+from rwde.graphs import (
+    WeightedDigraph,
+    build_drift_closure,
+    build_halfline,
+    build_window,
+    strongly_connected,
+)
 from rwde.model import parse_alphas, validate_params
 from rwde.solver import (
     escape_probability,
@@ -127,6 +139,28 @@ def test_harmonic_surgery_never_lowers_values():
     h2 = hitting_probability(env2, A, B)
     for z in env.vertices:
         assert h2[z] >= h[z] - 1e-10
+
+
+def test_harmonic_suite_windows_are_strongly_connected():
+    # every support the harmonic suite can draw (L, R in {1, 2}, endpoints
+    # present, each interior offset present or absent) fails validation only
+    # by its gcd, and every window it solves on is strongly connected, so its
+    # first hitting solve reaches the target from every site
+    supports = 0
+    for L in (1, 2):
+        for R in (1, 2):
+            interior = range(-L + 1, R)
+            for mask in range(1 << len(interior)):
+                alphas = {-L: 1.0, R: 1.0}
+                alphas.update((i, 1.0) for b, i in enumerate(interior) if mask >> b & 1)
+                try:
+                    p = validate_params(L, R, alphas)
+                except GcdViolation:
+                    continue
+                supports += 1
+                for n in range(5, 9):
+                    assert strongly_connected(build_window(p, 0, n), range(n + 1)), (alphas, n)
+    assert supports == 16
 
 
 def test_expected_visits_geometric():
