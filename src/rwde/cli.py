@@ -177,11 +177,10 @@ def cmd_speed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p = None
-    if args.alphas:
-        p, _ = parse_alphas(args.alphas)
-    elif args.suite in ("beta-law", "reversal", "loop-reversal"):
-        p, _ = parse_alphas("-1:1,1:2")
+    if args.alphas and "--alphas" not in verify.FLAGS[args.suite]:
+        raise ValueError(f"verify {args.suite} reads only {', '.join(verify.FLAGS[args.suite])}, "
+                         "not --alphas")
+    p, _ = parse_alphas(args.alphas or "-1:1,1:2")  # the suites without --alphas ignore p
     passed, evidence = verify.run_suite(
         args.suite, p, seed=args.seed, replicas=args.replicas,
         window=args.window, steps=args.steps,

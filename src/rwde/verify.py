@@ -19,12 +19,24 @@ from .graphs import WeightedDigraph, build_drift_closure, build_halfline, build_
 from .kappa import min_exit_weight
 from .model import DirichletParams, derive_params, validate_params
 
-SUITES = ("beta-law", "derrw", "reversal", "loop-reversal", "harmonic", "tournier")
+# The flags of ``rwde verify <suite>`` besides --seed and --out; the suites
+# without --alphas draw or fix their own weights.
+FLAGS = {"beta-law": ("--alphas", "--replicas", "--window"), "derrw": ("--steps",),
+         "reversal": ("--alphas", "--replicas"), "loop-reversal": ("--alphas", "--steps"),
+         "harmonic": ("--replicas",), "tournier": ("--replicas",)}
+SUITES = tuple(FLAGS)
+CLOSURE_M = 6  # both reversal suites run on the drift closure of [0, CLOSURE_M]
+DERRW_DEPTH = 4  # the derrw suite counts the paths of this many steps
+HARMONIC_SLACK = 1e-10  # the largest drop of a hitting probability put down to rounding
 
 
 def run_suite(name: str, p: DirichletParams | None, *, seed: int, replicas: int | None = None,
               window: int | None = None, steps: int | None = None) -> tuple:
+    if name not in FLAGS:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     for flag, value in (("replicas", replicas), ("window", window), ("steps", steps)):
+        if value is not None and f"--{flag}" not in FLAGS[name]:
+            raise ValueError(f"verify {name} reads only {', '.join(FLAGS[name])}, not --{flag}")
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     if name == "beta-law":
@@ -38,9 +50,7 @@ def run_suite(name: str, p: DirichletParams | None, *, seed: int, replicas: int 
         return loop_reversal(p, runs=1_000_000 if steps is None else steps, seed=seed)
     if name == "harmonic":
         return harmonic_monotonicity(instances=1000 if replicas is None else replicas, seed=seed)
-    if name == "tournier":
-        return tournier_exponent(n_envs=100_000 if replicas is None else replicas, seed=seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    return tournier_exponent(n_envs=100_000 if replicas is None else replicas, seed=seed)
 
 
 # --- beta escape law ---------------------------------------------------------
@@ -120,34 +130,28 @@ def derrw_graph() -> WeightedDigraph:
     )
 
 
-def derrw_equivalence(runs: int, seed: int, depth: int = 4) -> tuple:
+def derrw_equivalence(runs: int, seed: int) -> tuple:
     """Path frequencies of the reinforced walk against the closed-form
-    annealed path probabilities, every depth-`depth` path within 4 SE."""
+    annealed path probabilities, every path of DERRW_DEPTH steps within 4 SE."""
     g = derrw_graph()
     paths = [(0,)]
-    for _ in range(depth):
+    for _ in range(DERRW_DEPTH):
         paths = [q + (h,) for q in paths for h in sorted(g.out_edges(q[-1]))]
-    expected = {q: walk.annealed_path_probability(g, q) for q in paths}
-
-    counts = {q: 0 for q in paths}
-    for path in _reinforced_runs(g, depth, runs, seed):
+    counts = dict.fromkeys(paths, 0)
+    for path in _reinforced_runs(g, DERRW_DEPTH, runs, seed):
         counts[path] += 1
-
-    worst = 0.0
     rows = []
     for q in paths:
-        pr = expected[q]
+        pr = walk.annealed_path_probability(g, q)
         freq = counts[q] / runs
         se = (pr * (1.0 - pr) / runs) ** 0.5
-        z = abs(freq - pr) / se
-        worst = max(worst, z)
-        rows.append({"path": list(q), "expected": pr, "observed": freq, "z": z})
-    passed = worst <= 4.0
-    return passed, {
+        rows.append({"path": list(q), "expected": pr, "observed": freq, "z": abs(freq - pr) / se})
+    worst = max(row["z"] for row in rows)
+    return worst <= 4.0, {
         "runs": runs,
-        "depth": depth,
+        "depth": DERRW_DEPTH,
         "paths": len(paths),
-        "total_expected": float(sum(expected.values())),
+        "total_expected": float(sum(row["expected"] for row in rows)),
         "worst_z": worst,
         "per_path": rows,
     }
@@ -156,96 +160,67 @@ def derrw_equivalence(runs: int, seed: int, depth: int = 4) -> tuple:
 # --- time reversal -----------------------------------------------------------
 
 
-def time_reversal(p: DirichletParams, draws: int, seed: int, M: int = 6,
-                  n_envs: int = 100, n_cycles: int = 100) -> tuple:
-    """Per-environment cycle identity (deterministic, 1e-10) plus the
-    distributional match: reversing sampled environments against sampling
-    directly on the edge-reversed graph, first/second moments within 3 SE.
-
-    Batch layout: part j is one (environments, edges) matrix, drawn by
-    ``sample_rows`` from stream (j,).  Parts 0 (n_envs, their cycles walked
-    together on stream (1,)) and 2 (draws) live on the closure and are
-    reversed in one ``solver.reverse_rows`` call each; part 3 lives on the
-    reversed one.
-    """
+def time_reversal(p: DirichletParams, draws: int, seed: int) -> tuple:
+    """Cycle identity (deterministic, 1e-10) plus the distributional match:
+    reversing `draws` environments (stream (2,)) against sampling `draws`
+    directly on the edge-reversed graph (stream (3,)), first/second moments
+    within 3 SE.  Each reversed environment must give every closed walk its
+    forward product; _closed_walks checks the |E| walks that imply it."""
     if draws < 2:
         raise ValueError(f"the moment comparison needs at least 2 draws, got {draws}")
-    g = build_drift_closure(p, M)
+    g = build_drift_closure(p, CLOSURE_M)
     gr = g.reversed()
-    base = RngStream(seed)
-    fwd = sample_rows(g, base.substream(0), n_envs)
-    # reversed probabilities indexed by the forward edge they reverse: gr's
-    # edges sorted by head, then tail, are g's edges in g's order
-    bwd = solver.reverse_rows(g, fwd)[:, gr.by_head]
-    p_fwd, p_bwd = _cycle_products(g, fwd, bwd, n_cycles, base.substream(1).generator())
-    max_cycle_err = float(np.max(np.abs(p_fwd - p_bwd), initial=0.0))  # a NaN fails
+    fwd = sample_rows(g, RngStream(seed, (2,)), draws)
+    a = solver.reverse_rows(g, fwd)  # one column per reversed edge, in the order of gr.edges()
+    # gr's edges sorted by head, then tail, reverse g's edges in g's order
+    cycle_err = np.abs(_closed_walks(g, fwd) - _closed_walks(g, a[:, gr.by_head]))
+    max_cycle_err = float(np.max(cycle_err, initial=0.0))  # a NaN fails
 
-    # one column per reversed edge, in the order of gr.edges()
-    a = solver.reverse_rows(g, sample_rows(g, base.substream(2), draws))
-    b = sample_rows(gr, base.substream(3), draws)
-    worst_z = 0.0
+    b = sample_rows(gr, RngStream(seed, (3,)), draws)
+    z = []
     for mat_a, mat_b in ((a, b), (a * a, b * b)):
         diff = np.abs(mat_a.mean(axis=0) - mat_b.mean(axis=0))
         se = np.sqrt(mat_a.var(ddof=1, axis=0) / draws + mat_b.var(ddof=1, axis=0) / draws)
         det = se == 0.0  # deterministic rows (single out-edge) must match exactly
-        if np.any(diff[det] > 0.0):
-            worst_z = float("inf")
-        if np.any(~det):
-            worst_z = float(np.max(diff[~det] / se[~det], initial=worst_z))  # a NaN fails
+        z.append(np.where(det, np.where(diff > 0.0, np.inf, 0.0), diff / np.where(det, 1.0, se)))
+    worst_z = float(np.max(z))  # a NaN fails
 
     passed = max_cycle_err <= 1e-10 and worst_z <= 3.0
     return passed, {
-        "closure_size": M,
-        "cycle_environments": n_envs,
-        "cycles_per_environment": n_cycles,
+        "closure_size": CLOSURE_M,
+        "cycle_environments": draws,
+        "cycles_per_environment": g.weights.size,
         "max_cycle_error": max_cycle_err,
         "moment_draws": draws,
         "worst_moment_z": worst_z,
     }
 
 
-def _cycle_products(g: WeightedDigraph, fwd: np.ndarray, bwd: np.ndarray, n_cycles: int,
-                    gen: np.random.Generator, max_len: int = 64):
-    """Products of fwd and of bwd ((environments, edges), g's edge order)
-    along n_cycles random closed walks per environment, as a (2, cycles)
-    array.  The walks step in lockstep: each of up to 32 tries starts every
-    open walk at a uniform vertex for up to max_len uniform out-edges, and a
-    walk back at its start is a cycle; one open after the last gives none."""
-    # a step from x draws u below span, a multiple of every out-degree, and
-    # takes x's out-edge u % deg(x), tabulated at x * span + u
-    deg = np.diff(g.indptr)
-    span = int(np.lcm.reduce(deg))
-    edge_of = (g.indptr[:-1, None] + np.arange(span) % deg[:, None]).ravel()
-    head_of = g.cols[edge_of] * span
-    walks = np.repeat(np.arange(fwd.shape[0]) * fwd.shape[1], n_cycles)  # each row's offset
-    cycles = [np.empty((2, 0))]
-    for t in range(32 * max_len):
-        if not walks.size:
-            break
-        if t % max_len == 0:  # a new try for every open walk
-            at = start = gen.integers(deg.size, size=walks.size) * span
-            p_fwd, p_bwd = np.ones(walks.size), np.ones(walks.size)
-        step = at + gen.integers(span, size=at.size)
-        e = walks + edge_of[step]
-        p_fwd *= fwd.take(e)  # take indexes the flattened rows
-        p_bwd *= bwd.take(e)
-        at = head_of[step]
-        home = at == start
-        if home.any():
-            cycles.append((p_fwd[home], p_bwd[home]))
-            away = ~home
-            walks, at, start = walks[away], at[away], start[away]
-            p_fwd, p_bwd = p_fwd[away], p_bwd[away]
-    return np.concatenate(cycles, axis=1)
+def _closed_walks(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
+    """Products of probs ((environments, edges), g's edge order) along one
+    closed walk per edge (x, y): 0 -> x on an out-tree, (x, y), y -> 0 on an
+    in-tree.  Each tree grows from 0, breadth first, along the first edge that
+    leaves it, so g must be strongly connected.  Two environments with equal
+    products on these walks have equal products on every closed walk."""
+    n = len(g.vertices)
+    to, back = np.ones((2, probs.shape[0], n))
+    # the out-tree steps from tails to heads, the in-tree from heads to tails
+    for near, far, prod in ((g.tails, g.cols, to), (g.cols, g.tails, back)):
+        hops = np.where(np.arange(n) == 0, 0, n)  # steps to 0 in the tree; n: not in it yet
+        for _ in range(n - 1):
+            e = np.argmin(np.where(hops[far] == n, hops[near], n))
+            prod[:, far[e]] = prod[:, near[e]] * probs[:, e]
+            hops[far[e]] = hops[near[e]] + 1
+    return to[:, g.tails] * probs * back[:, g.cols]
 
 
 # --- loop reversal -----------------------------------------------------------
 
 
-def loop_reversal(p: DirichletParams, runs: int, seed: int, M: int = 6) -> tuple:
+def loop_reversal(p: DirichletParams, runs: int, seed: int) -> tuple:
     """First-return entry point: the annealed chance that the step into the
     first return to 0 comes from y equals w(y, 0) / sum_v w(v, 0)."""
-    g = build_drift_closure(p, M)
+    g = build_drift_closure(p, CLOSURE_M)
     in_edges = g.in_edges(0)
     total_in = sum(in_edges.values())
     counts = {y: 0 for y in in_edges}
@@ -270,7 +245,7 @@ def loop_reversal(p: DirichletParams, runs: int, seed: int, M: int = 6) -> tuple
     # may outlive the horizon, censoring far below the 4-SE resolution
     passed = worst_z <= 4.0 and completed >= 0.999 * runs
     return passed, {
-        "closure_size": M,
+        "closure_size": CLOSURE_M,
         "runs": runs,
         "completed": completed,
         "worst_z": worst_z,
@@ -281,7 +256,7 @@ def loop_reversal(p: DirichletParams, runs: int, seed: int, M: int = 6) -> tuple
 # --- harmonic monotonicity ---------------------------------------------------
 
 
-def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tuple:
+def harmonic_monotonicity(instances: int, seed: int) -> tuple:
     """Redirecting one site to jump surely to a no-worse site never lowers
     any hitting probability.  The draws need few guards: weights in
     [0.2, 2.2] on both endpoints fail validation only by a gcd of 2; every
@@ -329,11 +304,11 @@ def harmonic_monotonicity(instances: int, seed: int, slack: float = 1e-10) -> tu
         drop = min(h2[z] - h[z] for z in g.vertices)
         worst_drop = min(worst_drop, drop)
         done += 1
-    passed = done >= instances and worst_drop >= -slack
+    passed = done >= instances and worst_drop >= -HARMONIC_SLACK
     return passed, {
         "instances": done,
         "worst_drop": worst_drop,
-        "slack": slack,
+        "slack": HARMONIC_SLACK,
     }
 
 
@@ -354,10 +329,10 @@ def tournier_graph() -> WeightedDigraph:
     )
 
 
-def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) -> tuple:
+def tournier_exponent(n_envs: int, seed: int) -> tuple:
     """Hill tail index of quenched expected self-visits at 0 across
-    environments, against the minimum exit weight over strongly connected
-    sets containing 0."""
+    environments, within 0.3 of the minimum exit weight over strongly
+    connected sets containing 0."""
     g = tournier_graph()
     beta_min, witness = min_exit_weight(g, 0)
     flat = sample_rows(g, RngStream(seed), n_envs)
@@ -373,6 +348,7 @@ def tournier_exponent(n_envs: int, seed: int, lo: float = 1.2, hi: float = 1.8) 
 
     k = stats.default_hill_k(n_envs)
     estimate = stats.hill_estimator(samples, k)
+    lo, hi = beta_min - 0.3, beta_min + 0.3
     passed = lo <= estimate <= hi and max_dev <= 1e-9
     return passed, {
         "environments": n_envs,

@@ -179,7 +179,7 @@ def test_acceptance_06_reinforced_equals_annealed():
 def test_acceptance_07_loop_reversal():
     start = time.time()
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    ok, ev = verify.loop_reversal(p, runs=1_000_000, seed=13, M=6)
+    ok, ev = verify.loop_reversal(p, runs=1_000_000, seed=13)
     elapsed = time.time() - start
     ok = ok and elapsed < 120
     assert _report(7, "first-return loop reversal", ok,
@@ -188,7 +188,7 @@ def test_acceptance_07_loop_reversal():
 
 def test_acceptance_08_time_reversal():
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    ok, ev = verify.time_reversal(p, draws=10_000, seed=17, n_envs=100, n_cycles=100)
+    ok, ev = verify.time_reversal(p, draws=10_000, seed=17)
     assert _report(8, "time reversal", ok,
                    f"max cycle err={ev['max_cycle_error']:.1e}, "
                    f"worst moment z={ev['worst_moment_z']:.2f}")

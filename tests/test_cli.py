@@ -251,6 +251,25 @@ def test_verify_rejects_nonpositive_sizes(capsys):
     _run_error(capsys, "verify", "derrw", "--steps", "0")
 
 
+def test_verify_rejects_the_flags_its_suite_does_not_read(capsys):
+    # each unread flag was ignored, and the suite ran as if it were absent
+    pairs = 0
+    for suite in verify.SUITES:
+        for flag, value in (("--alphas", "-1:1,1:2"), ("--replicas", "20"), ("--window", "64"),
+                            ("--steps", "10")):
+            if flag not in verify.FLAGS[suite]:
+                rep = _run_error(capsys, "verify", suite, f"{flag}={value}", "--seed", "1")
+                reads = ", ".join(verify.FLAGS[suite])
+                assert rep["error"]["message"] == f"verify {suite} reads only {reads}, not {flag}"
+                pairs += 1
+    assert pairs == 14
+    for argv in (("derrw", "--alphas=-1:5,1:1", "--steps", "500"),
+                 ("tournier", "--window", "9", "--replicas", "500"),
+                 ("harmonic", "--steps", "7", "--alphas=-1:1,1:3", "--replicas", "20"),
+                 ("beta-law", "--steps", "10", "--replicas", "40", "--window", "64")):
+        _run_error(capsys, "verify", *argv)
+
+
 def test_diameter_bound_overflow_is_a_json_error(capsys):
     for argv in (("analyze", "--alphas=-1:1e-320,1:1"),
                  ("analyze", "--alphas=-1:1e308,1:1e308"),
@@ -401,15 +420,16 @@ def _alphas(draw):
 @st.composite
 def _argv(draw):
     """An argv of one of the five commands at small sizes (steps <= 2,000,
-    replicas <= 200, window <= 64, max-diameter <= 12; now and then -1 or 0)
-    and now and then a flag that argparse refuses."""
+    replicas <= 200, window <= 64, max-diameter <= 12; now and then -1 or 0),
+    a verify argv with only the flags its suite reads, and now and then a
+    flag that argparse refuses."""
     def size(hi):
         return str(draw(st.sampled_from([-1, 0]) if draw(st.integers(0, 9)) == 0
                         else st.integers(1, hi)))
 
     command = draw(st.sampled_from(["analyze", "kappa0", "simulate", "speed", "verify"]))
     argv = [command] + ([draw(st.sampled_from(verify.SUITES))] if command == "verify" else [])
-    if command != "verify" or draw(st.booleans()):
+    if command != "verify" or ("--alphas" in verify.FLAGS[argv[1]] and draw(st.booleans())):
         argv.append(f"--alphas={draw(_alphas())}")
     if command not in ("analyze", "kappa0") and draw(st.booleans()):
         argv += ["--seed", str(draw(st.integers(0, 20)))]
@@ -421,8 +441,10 @@ def _argv(draw):
     elif command == "speed":
         argv += ["--steps", size(2000), "--replicas", size(200),
                  "--method", draw(st.sampled_from(["endpoint", "regeneration"]))]
-    else:  # every size, so that no suite runs at its default
-        argv += ["--replicas", size(200), "--window", size(64), "--steps", size(200)]
+    else:  # every size the suite reads, so that no suite runs at its default
+        for flag, hi in (("--replicas", 200), ("--window", 64), ("--steps", 200)):
+            if flag in verify.FLAGS[argv[1]]:
+                argv += [flag, size(hi)]
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "--steps=x", "--method=fast", "--format=csv"])))
     return argv
@@ -432,7 +454,7 @@ def _argv(draw):
 @given(_argv())
 @example(["simulate", "--alphas=-1:1e-300,3:1e-300", "--steps", "10"])  # redrew forever
 @example(["verify", "beta-law", "--alphas=-1:1e300,1:1,3:1e300", "--replicas", "1",
-          "--window", "26", "--steps", "1"])  # OverflowError in the beta CDF
+          "--window", "26"])  # OverflowError in the beta CDF
 @example(["verify", "loop-reversal", "--alphas=-1:1e-300,1:1", "--steps", "200"])
 @example(["verify", "loop-reversal", "--alphas=-1:1e-300,1:2e-300", "--steps", "1", "--seed", "1"])
 def test_every_argv_gets_one_report_and_an_exit_code(argv):

@@ -499,7 +499,8 @@ def test_reverse_rows_clamps_only_underflowed_entries():
     # at weights near 0.01 a reversed entry pi(y) p(y, x) / pi(x) can lie
     # below the smallest subnormal; it is clamped to it, as the sampler
     # clamps its own underflows, and no other entry is (the product
-    # pi(y) p(y, x) alone underflows on cycle environments, part 0)
+    # pi(y) p(y, x) alone underflows on the environments of stream (0,),
+    # which the reversal suite once drew for its random cycles)
     n_clamped = 0
     for part, count in ((0, 100), (2, 200)):
         g, probs = _closure_rows("-1:0.01,1:0.02", part, range(count))
@@ -562,7 +563,7 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_
 
 def test_solver_and_suite_outputs_golden():
     # recorded before the solvers moved to the graph's flat row layout (the
-    # reversal suite since it walks its cycles in lockstep, the harmonic
+    # reversal suite since it checks one closed walk per edge, the harmonic
     # suite since values surely 0 or 1 are no longer solved for, the
     # escape values and the tournier suite since every hitting and visits
     # system is one subtraction-free elimination, the truncation bounds and
@@ -591,7 +592,7 @@ def test_solver_and_suite_outputs_golden():
 
 def test_wide_support_reversal_golden():
     # recorded when the reversal suite came to draw each part from one
-    # stream, and checked again when it came to walk its cycles in lockstep:
+    # stream, and again when it came to check one closed walk per edge:
     # with L >= 2 the rows have 4-5 entries, where a different summation
     # order or a batched LU would change the last bits
     for text, evidence in GOLDEN["reversal_wide"].items():
@@ -649,92 +650,72 @@ def _skewed_closure():
 
 
 def test_cycle_products_close_their_walks():
-    # the reversed environment keeps the product of every closed walk; along
-    # an open walk from s to t the two products differ by pi(t) / pi(s)
+    # the reversed environment keeps the product of every closed walk, also
+    # where the stationary vector spans more than three orders of magnitude
     g, fwd = _skewed_closure()
     pi = stationary_rows(g, fwd)
     assert pi.max() / pi.min() > 1e3
     bwd = reverse_rows(g, fwd)[:, g.reversed().by_head]
-    p_fwd, p_bwd = verify._cycle_products(g, np.repeat(fwd, 3, axis=0), np.repeat(bwd, 3, axis=0),
-                                          2000, RngStream(3).generator())
-    assert p_fwd.size > 5900
+    p_fwd, p_bwd = verify._closed_walks(g, fwd), verify._closed_walks(g, bwd)
+    assert p_fwd.shape == (1, g.weights.size)
     assert np.all(np.abs(p_fwd - p_bwd) <= 1e-12 * p_fwd)
 
 
-def test_cycle_lengths_follow_the_first_return_law():
-    # with every entry 1/2 a cycle's product is 2^-length; a cycle starts at
-    # a uniform vertex, steps along uniform out-edges and is the first return
-    # within 64 steps, so its length is 2 with the chance sum_s f2(s) / sum_s F(s)
-    p, _ = parse_alphas("-1:1,1:2")
-    g = build_drift_closure(p, 6)
-    n = len(g.vertices)
-    U = np.zeros((n, n))
-    U[g.tails, g.cols] = 1.0 / np.diff(g.indptr)[g.tails]
-    f2 = returned = 0.0
-    for s in range(n):
-        rest = [y for y in range(n) if y != s]
-        returned += U[s, s]
-        away = U[s, rest]  # mass still away from s after each step
-        for k in range(2, 65):
-            first = away @ U[rest, s]
-            f2 += first if k == 2 else 0.0
-            returned += first
-            away = away @ U[np.ix_(rest, rest)]
-    expected = f2 / returned
-    half = np.full((10, g.weights.size), 0.5)
-    p_fwd, _ = verify._cycle_products(g, half, half, 1000, RngStream(16).generator())
-    lengths = -np.log2(p_fwd)
-    assert np.all(lengths == np.round(lengths)) and lengths.min() >= 1 and lengths.max() <= 64
-    freq = np.mean(lengths == 2)
-    se = math.sqrt(expected * (1.0 - expected) / lengths.size)
-    assert abs(freq - expected) <= 4.0 * se, (freq, expected, se)
-
-
-class _CountingGenerator:
-    """A Generator that records the bound of each integers() call."""
-
-    def __init__(self, gen):
-        self.gen, self.highs = gen, []
-
-    def integers(self, high, size=None):
-        self.highs.append(high)
-        return self.gen.integers(high, size=size)
-
-
-def test_cycle_products_give_up_after_32_tries(monkeypatch):
-    # on a directed ring of 70 vertices every first return takes 70 steps
+def test_closed_walks_cover_a_ring_the_random_cycles_missed(monkeypatch):
+    # on a directed ring of 70 vertices every first return takes 70 steps,
+    # more than the 64 a random cycle had: the check walked no cycle and
+    # passed; now each edge's walk goes once round the ring
     ring = WeightedDigraph([(i, (i + 1) % 70, 1.0) for i in range(70)])
     ones = np.ones((2, 70))
-    gen = _CountingGenerator(RngStream(1).generator())
-    p_fwd, p_bwd = verify._cycle_products(ring, ones, ones, 5, gen)
-    assert p_fwd.size == p_bwd.size == 0
-    # each try draws the starts (below 70), then 64 steps (below 1)
-    assert gen.highs == ([70] + [1] * 64) * 32
-    # no cycle at all is no cycle error
+    bad = ones.copy()
+    bad[1, 33] *= 1 + 1e-6
+    assert np.array_equal(verify._closed_walks(ring, ones), ones)
+    assert np.all(np.abs(verify._closed_walks(ring, bad) - 1.0)[1] > 9e-7)
     monkeypatch.setattr(verify, "build_drift_closure", lambda p, M: ring)
-    passed, ev = verify.time_reversal(NN, draws=10, seed=1, n_envs=2, n_cycles=5)
+    passed, ev = verify.time_reversal(NN, draws=10, seed=1)
     assert passed and ev["max_cycle_error"] == 0.0
+    assert ev["cycle_environments"] == 10 and ev["cycles_per_environment"] == 70
 
 
-@pytest.mark.parametrize("part", [0, 2])
-def test_nan_reversed_entry_fails_the_reversal_suite(monkeypatch, part):
-    # part 0: the cycle environments, where bwd[0, 0] becomes NaN; part 2:
-    # the moment draws; max() would keep the old value past a NaN
-    p, _ = parse_alphas("-1:1,1:2")
-    by_head = build_drift_closure(p, 6).reversed().by_head
-    real, calls = reverse_rows, []
+def _poison_reverse_rows(monkeypatch, edit):
+    """Let verify's one reverse_rows call hand back its result after edit."""
+    real = reverse_rows
 
     def poisoned(g, probs):
         out = real(g, probs)
-        if len(calls) == part // 2:
-            out[0, by_head[0]] = np.nan
-        calls.append(probs.shape)
+        edit(out)
         return out
 
     monkeypatch.setattr(verify.solver, "reverse_rows", poisoned)
+
+
+@pytest.mark.parametrize("edge", range(13))
+def test_one_wrong_reversed_entry_fails_the_reversal_suite(monkeypatch, edge):
+    # one reversed entry off by 1e-6 in every environment: the closed walks
+    # through that edge miss by ten times the 1e-10 gate or more
+    p, _ = parse_alphas("-1:1,1:2")
+    assert build_drift_closure(p, verify.CLOSURE_M).weights.size == 13
+
+    def edit(out):
+        out[:, edge] *= 1 + 1e-6
+
+    _poison_reverse_rows(monkeypatch, edit)
     passed, ev = verify.time_reversal(p, draws=50, seed=5)
-    key = "max_cycle_error" if part == 0 else "worst_moment_z"
-    assert math.isnan(ev[key]) and not passed
+    assert ev["max_cycle_error"] > 1e-9 and not passed
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_nan_reversed_entry_fails_the_reversal_suite(monkeypatch, row):
+    # one environment's NaN reaches both the closed walks and the moments;
+    # max() would keep the old value past a NaN
+    p, _ = parse_alphas("-1:1,1:2")
+
+    def edit(out):
+        out[row, 0] = np.nan
+
+    _poison_reverse_rows(monkeypatch, edit)
+    passed, ev = verify.time_reversal(p, draws=50, seed=5)
+    assert math.isnan(ev["max_cycle_error"]) and math.isnan(ev["worst_moment_z"]) and not passed
 
 
 def test_nan_visits_fail_the_tournier_cross_check(monkeypatch):
