@@ -51,13 +51,11 @@ from .stats import (
 )
 from .walk import (
     MeanHittingEstimate,
-    Trajectory,
     VelocityEstimate,
     annealed_path_probability,
     estimate_mean_hitting,
     estimate_velocity,
     regeneration_times,
-    simulate_derrw,
     simulate_derrw_batch,
     simulate_line,
 )

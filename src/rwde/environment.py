@@ -22,11 +22,6 @@ def resample_count() -> int:
     return _resample_count
 
 
-def reset_resample_count() -> None:
-    global _resample_count
-    _resample_count = 0
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based splittable random stream keyed by (seed, index).
@@ -131,20 +126,6 @@ class Environment:
         check_rows(graph, probs[None])
         self.graph = graph
         self.probs = probs
-
-    @classmethod
-    def from_rows(cls, graph: WeightedDigraph, rows: dict) -> "Environment":
-        """The environment with rows[x] = (heads, probabilities) at each vertex
-        x, the heads those of x's out-edges in any order."""
-        flat = []
-        for x, sorted_heads in graph.heads.items():
-            heads, probs = rows[x]
-            heads, probs = tuple(heads), np.asarray(probs, dtype=float)
-            if sorted_heads != tuple(sorted(heads)) or probs.shape != (len(heads),):
-                raise ValueError(f"row support at {x} does not match out-edges")
-            flat.append(probs if heads == sorted_heads
-                        else probs[sorted(range(len(heads)), key=heads.__getitem__)])
-        return cls(graph, np.concatenate(flat or [np.empty(0)]))
 
     @property
     def vertices(self) -> tuple:

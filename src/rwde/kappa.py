@@ -15,7 +15,6 @@ the diameter has no depth limit.  Two facts make the pruning sharp:
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,17 +80,14 @@ def exit_weights(p: DirichletParams, S) -> TrapSet:
 def diameter_bound(p: DirichletParams, dp: DerivedParams | None = None) -> int:
     """Search diameter that certifies the minimum: with eps the smallest
     positive weight and N the smallest integer with N*eps >= d+ + d-, any set
-    of diameter beyond (N-1)*m0 already exits at least d+ + d-."""
+    of diameter beyond (N-1)*m0 already exits at least d+ + d-.  N is exact,
+    one integer ceil division of the floats' integer ratios, and N >= 1 since
+    eps <= alpha_R <= d+."""
     dp = dp or derive_params(p)
-    eps = min(p.alphas[i] for i in p.support)
-    total = dp.d_plus + dp.d_minus
-    ratio = total / eps
-    if not math.isfinite(ratio):
-        weights = {i: p.alphas[i] for i in sorted(p.alphas)}
-        raise ValueError(
-            f"diameter bound overflows: (d+ + d-)/eps = {total!r}/{eps!r} for weights {weights}"
-        )
-    N = max(1, math.ceil(ratio - 1e-12))
+    a, b = dp.d_plus.as_integer_ratio()
+    c, d = dp.d_minus.as_integer_ratio()
+    e, f = min(p.alphas[i] for i in p.support).as_integer_ratio()
+    N = -(-(a * d + c * b) * f // (b * d * e))  # ceil((a/b + c/d) / (e/f))
     return (N - 1) * dp.m0
 
 

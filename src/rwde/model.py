@@ -104,11 +104,16 @@ def derive_params(p: DirichletParams) -> DerivedParams:
     """Compute the one-sided sums, kappa1 and m0.
 
     Sums run in ascending offset order with compensated summation so the sign
-    of kappa1 near zero is reproducible.
+    of kappa1 near zero is reproducible.  ValueError unless d+, d- and
+    d+ + d- are finite: every sum and exponent below is bounded by them.
     """
     offsets = sorted(p.alphas)
     d_plus = _kahan_sum(i * p.alphas[i] for i in offsets if i > 0)
     d_minus = _kahan_sum(-i * p.alphas[i] for i in offsets if i < 0)
+    if not math.isfinite(d_plus + d_minus):  # also NaN or inf in either sum
+        weights = {i: p.alphas[i] for i in offsets}
+        raise ValueError(f"one-sided sums overflow: d+ = {d_plus!r}, d- = {d_minus!r}, "
+                         f"d+ + d- = {d_plus + d_minus!r} for weights {weights}")
     c_plus = _kahan_sum(p.alphas[i] for i in offsets if i > 0)
     c_minus = _kahan_sum(p.alphas[i] for i in offsets if i < 0)
     return DerivedParams(

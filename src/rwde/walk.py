@@ -28,15 +28,6 @@ _CHUNK = 1024  # uniforms per draw from a reinforced walk's generator
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    start: int
-    positions: tuple  # positions[0] == start
-    stop_reason: str  # horizon | hit_target
-    seed: int = 0
-    stream: tuple = ()
-
-
-@dataclass(frozen=True)
 class VelocityEstimate:
     v_hat: float
     std_error: float
@@ -61,17 +52,6 @@ def simulate_line(p: DirichletParams, steps: int, rng: RngStream) -> np.ndarray:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     return _LineWalker(p).positions(rng, steps)
-
-
-def simulate_derrw(g: WeightedDigraph, start, horizon: int, rng: RngStream,
-                   stop_on_return_to=None) -> Trajectory:
-    """Directed edge reinforced walk: step along an edge with probability
-    proportional to its current weight, then increase that weight by 1.  The
-    one-run case of simulate_derrw_batch."""
-    path = simulate_derrw_batch(g, start, horizon, 1, rng, stop_on_return_to)[0]
-    hit = len(path) > 1 and path[-1] == stop_on_return_to
-    return Trajectory(start=start, positions=path, stop_reason="hit_target" if hit else "horizon",
-                      seed=rng.seed, stream=rng.index)
 
 
 def simulate_derrw_batch(g: WeightedDigraph, start, horizon: int, runs: int, rng: RngStream,
@@ -149,7 +129,7 @@ def annealed_path_probability(g: WeightedDigraph, path) -> float:
     return prob
 
 
-def regeneration_times(traj: Trajectory, tail_buffer: int) -> list:
+def regeneration_times(positions, tail_buffer: int) -> list:
     """Times n >= 1 at which the walk is strictly right of its entire past
     and never again right of its current position.
 
@@ -159,7 +139,7 @@ def regeneration_times(traj: Trajectory, tail_buffer: int) -> list:
     """
     if tail_buffer < 0:
         raise ValueError("tail_buffer must be >= 0")
-    x = np.asarray(traj.positions)
+    x = np.asarray(positions)
     n = x.size
     if n <= 1:
         return []
@@ -215,8 +195,7 @@ def estimate_velocity(p: DirichletParams, steps: int, replicas: int,
             values.append(x / steps)
         else:
             xs = walker.positions(stream, steps)
-            traj = Trajectory(start=0, positions=xs, stop_reason="horizon")
-            taus = regeneration_times(traj, buffer)
+            taus = regeneration_times(xs, buffer)
             if len(taus) >= 2:
                 dx = float(xs[taus[-1]] - xs[taus[0]])
                 dt = float(taus[-1] - taus[0])

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwde import cli, verify
+from rwde.errors import UncertifiedKappa0
 
 SCHEMA = json.loads(
     (__import__("pathlib").Path(__file__).parent.parent / "src/rwde/report.schema.json").read_text()
@@ -270,12 +273,35 @@ def test_verify_rejects_the_flags_its_suite_does_not_read(capsys):
         _run_error(capsys, "verify", *argv)
 
 
-def test_diameter_bound_overflow_is_a_json_error(capsys):
-    for argv in (("analyze", "--alphas=-1:1e-320,1:1"),
-                 ("analyze", "--alphas=-1:1e308,1:1e308"),
-                 ("kappa0", "--alphas=-1:1e-320,1:1", "--max-diameter", "5")):
-        rep = _run_error(capsys, *argv)
-        assert "diameter bound overflows" in rep["error"]["message"]
+def test_tiny_weights_get_uncertified_reports(capsys):
+    # (d+ + d-)/eps overflowed as a float, and both exited 1 with "diameter
+    # bound overflows", the second although its diameter was given
+    with pytest.warns(UncertifiedKappa0):
+        code, out = _run(capsys, "analyze", "--alphas=-1:1e-320,1:1")
+    assert code == 0 and _validated(out)["kappa0"]["diameter_searched"] == 24
+    code, out = _run(capsys, "kappa0", "--alphas=-1:1e-320,1:1", "--max-diameter", "5")
+    k0 = _validated(out)["kappa0"]
+    assert code == 0 and (k0["value"], k0["witness"], k0["certified"]) == (1, [0, 1], False)
+    assert k0["certified_bound"] == math.ceil((1 + Fraction(1e-320)) / Fraction(1e-320)) - 1
+
+
+def test_overflowing_one_sided_sums_are_one_json_error(capsys):
+    # speed warned "kappa1 = 0 (recurrent)" and exited 0 on d+ = inf, beta-law
+    # overflowed in numpy and blamed kappa1, and analyze reported
+    # (d+ + d-)/eps = nan/1.0; simulate walked the first map and exited 0
+    for argv, sums in (
+        (("speed", "--alphas=-1:1,2:1e308", "--steps", "10", "--replicas", "1"), "inf, d- = 1.0"),
+        (("verify", "beta-law", "--alphas=-1:1,2:1e308", "--replicas", "3", "--window", "16"),
+         "inf, d- = 1.0"),
+        (("simulate", "--alphas=-1:1,2:1e308", "--steps", "5"), "inf, d- = 1.0"),
+        (("analyze", "--alphas=-2:1e308,-1:1e308,1:1"), "1.0, d- = nan"),
+        (("analyze", "--alphas=-1:1e308,1:1e308"), "1e+308, d- = 1e+308"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = _run_error(capsys, *argv)
+        assert caught == []
+        assert rep["error"]["message"].startswith(f"one-sided sums overflow: d+ = {sums}, "), argv
 
 
 def test_verify_reversal_small_weights_passes(capsys):
@@ -457,6 +483,11 @@ def _argv(draw):
           "--window", "26"])  # OverflowError in the beta CDF
 @example(["verify", "loop-reversal", "--alphas=-1:1e-300,1:1", "--steps", "200"])
 @example(["verify", "loop-reversal", "--alphas=-1:1e-300,1:2e-300", "--steps", "1", "--seed", "1"])
+@example(["speed", "--alphas=-1:1,2:1e308", "--steps", "10", "--replicas", "1"])  # kappa1 = 0
+@example(["verify", "beta-law", "--alphas=-1:1,2:1e308", "--replicas", "3", "--window", "16"])
+@example(["analyze", "--alphas=-2:1e308,-1:1e308,1:1"])  # nan in the diameter bound
+@example(["analyze", "--alphas=-1:1,1:2.0000000000000004"])  # bound one short
+@example(["kappa0", "--alphas=-1:1e-320,1:1", "--max-diameter", "5"])  # the bound overflowed
 def test_every_argv_gets_one_report_and_an_exit_code(argv):
     # an exception escaping main is the traceback a user would see
     out, err = io.StringIO(), io.StringIO()

@@ -1,5 +1,7 @@
+import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -303,11 +305,42 @@ def test_branch_and_bound_deep_search():
     assert res.certified
 
 
-def test_diameter_bound_overflow_names_weights():
-    for alphas in ({-1: 1e-320, 1: 1.0}, {-1: 1e308, 1: 1e308}):
-        p = validate_params(1, 1, alphas)
-        with pytest.raises(ValueError, match=r"weights \{-1: "):
-            diameter_bound(p)
+def _certifies_exactly(p, bound) -> bool:
+    """Is bound = (N - 1) * m0 with N the least integer such that
+    N * eps >= d+ + d-, in exact arithmetic?"""
+    dp = derive_params(p)
+    eps = Fraction(min(p.alphas[i] for i in p.support))
+    total = Fraction(dp.d_plus) + Fraction(dp.d_minus)
+    n, rem = divmod(bound, dp.m0)
+    return rem == 0 and (n + 1) * eps >= total > n * eps
+
+
+def test_diameter_bound_certifies_exactly():
+    # ceil of the float ratio minus 1e-12 came out one short on the first two
+    cases = [validate_params(1, 1, {-1: 1.0, 1: 2.0000000000000004}),
+             validate_params(2, 1, {-2: 1.0, 1: 1.0000000000000002})]
+    rnd = random.Random(23)
+    for _ in range(300):
+        p = random_params(rnd, max_side=6)
+        if rnd.random() < 0.5:  # quarters, some an ulp off: the ratio lands on or next to an integer
+            quarters = {i: rnd.randint(1, 4) / 4 for i in p.alphas}
+            p = validate_params(p.L, p.R, {i: math.nextafter(q, rnd.choice([0.0, q, 2.0]))
+                                           for i, q in quarters.items()})
+        cases.append(p)
+    assert [p for p in cases if not _certifies_exactly(p, diameter_bound(p))] == []
+    assert [diameter_bound(p) for p in cases[:2]] == [3, 9]
+
+
+def test_diameter_bound_at_extreme_weights():
+    # (d+ + d-)/eps overflowed as a float on the tiny weight, and the bound
+    # raised although a search at a fixed diameter needs none
+    p = validate_params(1, 1, {-1: 1e-320, 1: 1.0})
+    assert _certifies_exactly(p, diameter_bound(p))
+    # one-sided sums that overflow are refused where they are computed
+    for L, R, alphas in ((1, 1, {-1: 1e308, 1: 1e308}), (2, 1, {-2: 1e308, -1: 1e308, 1: 1.0}),
+                         (1, 2, {-1: 1.0, 2: 1e308})):
+        with pytest.raises(ValueError, match=r"one-sided sums overflow: d\+ = .* for weights \{"):
+            diameter_bound(validate_params(L, R, alphas))
 
 
 def test_min_exit_weight_generic_graph():

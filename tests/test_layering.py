@@ -89,16 +89,22 @@ def _references(node, inside=frozenset()):
 
 
 def test_every_export_is_used():
-    # a public name stays only if the system reaches it: another rwde module,
+    # a public name, exported or defined at module level in rwde, stays only
+    # if the system reaches it: an rwde module (outside the name's own body),
     # a bench job, an acceptance test or the README refers to it
     src = pathlib.Path(verify.__file__).parent
     root = src.parent.parent
-    init = ast.parse((src / "__init__.py").read_text())
-    exports = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
-               for a in node.names}
-    used = set()
-    for path in [*src.glob("*.py"), *root.glob("bench/*.py"), root / "tests/test_acceptance.py"]:
+    public, used = set(), set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                public.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add(node.name)
         if path.name != "__init__.py":
-            used.update(_references(ast.parse(path.read_text())))
+            used.update(_references(tree))
+    for path in [*root.glob("bench/*.py"), root / "tests/test_acceptance.py"]:
+        used.update(_references(ast.parse(path.read_text())))
     readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
-    assert sorted(exports - used - readme) == []
+    assert sorted(public - used - readme) == []

@@ -53,12 +53,8 @@ NN = validate_params(1, 1, {-1: 1.0, 1: 1.0})
 def _nn_env(p_right, graph=None):
     """Environment on a birth-death window [0, N] with given up-probabilities
     at the interior sites (boundary rows forced by the window edges)."""
-    N = len(p_right) + 1
-    g = graph or build_window(NN, 0, N)
-    rows = {0: ((1,), np.array([1.0])), N: ((N - 1,), np.array([1.0]))}
-    for z in range(1, N):
-        rows[z] = ((z - 1, z + 1), np.array([1.0 - p_right[z - 1], p_right[z - 1]]))
-    return Environment.from_rows(g, rows)
+    g = graph or build_window(NN, 0, len(p_right) + 1)
+    return Environment(g, [1.0, *(q for p in p_right for q in (1.0 - p, p)), 1.0])
 
 
 def test_hitting_boundary_conditions():
@@ -100,12 +96,7 @@ def test_hitting_complementary_problems_sum_to_one():
 
 def test_hitting_unreachable_boundary():
     g = WeightedDigraph([(0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-    rows = {
-        0: ((0,), np.array([1.0])),
-        1: ((2,), np.array([1.0])),
-        2: ((1,), np.array([1.0])),
-    }
-    env = Environment.from_rows(g, rows)
+    env = Environment(g, [1.0, 1.0, 1.0])
     with pytest.raises(UnreachableBoundary):
         hitting_probability(env, frozenset([0]), frozenset())
 
@@ -167,10 +158,7 @@ def test_expected_visits_geometric():
     # single state with exit probability q is held 1/q times on average
     g = WeightedDigraph([(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
     q = 0.3
-    env = Environment.from_rows(g, {
-        0: ((0, 1), np.array([1.0 - q, q])),
-        1: ((1,), np.array([1.0])),
-    })
+    env = Environment(g, [1.0 - q, q, 1.0])
     assert expected_visits(env, 0, [0]) == pytest.approx(1.0 / q, abs=1e-10)
 
 
@@ -215,7 +203,7 @@ def test_empty_or_overlapping_target_is_a_value_error():
 
 def test_expected_visits_no_exit():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
-    env = Environment.from_rows(g, {0: ((1,), np.array([1.0])), 1: ((0,), np.array([1.0]))})
+    env = Environment(g, [1.0, 1.0])
     with pytest.raises(NoExit):
         expected_visits(env, 0, [0, 1])
 
@@ -224,12 +212,7 @@ def test_expected_visits_ignores_unreachable_closed_class():
     # {1, 2} is a closed class inside S that 0 cannot reach; over all of S
     # the system is singular and the solve used to return nan
     g = WeightedDigraph([(0, 0, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
-    env = Environment.from_rows(g, {
-        0: ((0, 3), np.array([0.5, 0.5])),
-        1: ((2,), np.array([1.0])),
-        2: ((1,), np.array([1.0])),
-        3: ((3,), np.array([1.0])),
-    })
+    env = Environment(g, [0.5, 0.5, 1.0, 1.0, 1.0])
     assert expected_visits(env, 0, [0, 1, 2]) == 2.0
 
 
@@ -238,12 +221,7 @@ def test_expected_visits_reaching_a_closed_class_in_s():
     # only its component {0} leads back to 0, so 0 is visited once, and the
     # closed class must not make the system singular
     g = WeightedDigraph([(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
-    env = Environment.from_rows(g, {
-        0: ((1, 3), np.array([0.5, 0.5])),
-        1: ((2,), np.array([1.0])),
-        2: ((1,), np.array([1.0])),
-        3: ((3,), np.array([1.0])),
-    })
+    env = Environment(g, [0.5, 0.5, 1.0, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert expected_visits(env, 0, [0, 1, 2]) == 1.0
@@ -328,9 +306,7 @@ def test_expected_visits_matches_monte_carlo():
 def test_escape_bracket_deterministic_right():
     W = 8
     g = WeightedDigraph([(x, x + 1, 1.0) for x in range(W)] + [(W, W, 1.0)])
-    rows = {x: ((x + 1,), np.array([1.0])) for x in range(W)}
-    rows[W] = ((W,), np.array([1.0]))
-    env = Environment.from_rows(g, rows)
+    env = Environment(g, np.ones(W + 1))
     p = validate_params(1, 1, {-1: 1e-9, 1: 1.0})
     est = escape_probability(p, env)
     assert (est.value, est.truncation, est.window) == (1.0, 0.0, W)
@@ -342,11 +318,7 @@ def test_escape_bracket_constant_drift():
     # truncation bound reads h at B' = {W / 2}
     W = 64
     g = build_halfline(NN, W)
-    rows = {0: ((1,), np.array([1.0]))}
-    for z in range(1, W):
-        rows[z] = ((z - 1, z + 1), np.array([1 / 3, 2 / 3]))
-    rows[W] = ((W - 1, W), np.array([1 / 3, 2 / 3]))
-    env = Environment.from_rows(g, rows)
+    env = Environment(g, [1.0] + [1 / 3, 2 / 3] * W)
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
     est = escape_probability(p, env)
     h = lambda z: (1 - Fraction(1, 2**z)) / (1 - Fraction(1, 2**W))
@@ -375,15 +347,11 @@ def test_escape_bracket_bounds_and_window_refinement():
     g1 = build_halfline(p, W1)
     for k in range(5):
         env2 = sample_environment(g2, RngStream(60, (k,)))
-        rows1 = {}
+        probs1 = np.zeros(g1.weights.size)
         for x in g1.vertices:
-            heads2, probs2 = env2.row(x)
-            merged = {}
-            for h, q in zip(heads2, probs2):
-                merged[min(h, W1)] = merged.get(min(h, W1), 0.0) + q
-            heads = tuple(sorted(merged))
-            rows1[x] = (heads, np.array([merged[h] for h in heads]))
-        env1 = Environment.from_rows(g1, rows1)
+            for h, q in zip(*env2.row(x)):
+                probs1[g1.pos[x, min(h, W1)]] += q
+        env1 = Environment(g1, probs1)
         b1 = escape_probability(p, env1)
         b2 = escape_probability(p, env2)
         assert b2.value <= b1.value + 1e-12  # the value falls as the window grows
@@ -430,17 +398,11 @@ def test_escape_truncation_bounds_the_fall_from_half_the_window(seed, data):
 
 def test_invariant_measure_two_state():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0), (1, 1, 1.0)])
-    env = Environment.from_rows(g, {
-        0: ((0, 1), np.array([0.5, 0.5])),
-        1: ((0, 1), np.array([0.5, 0.5])),
-    })
+    env = Environment(g, np.full(4, 0.5))
     pi = invariant_measure(env)
     assert pi[0] == pytest.approx(0.5, abs=1e-12)
     p, q = 0.3, 0.8
-    env2 = Environment.from_rows(g, {
-        0: ((0, 1), np.array([1 - p, p])),
-        1: ((0, 1), np.array([q, 1 - q])),
-    })
+    env2 = Environment(g, [1 - p, p, q, 1 - q])
     pi2 = invariant_measure(env2)
     assert pi2[0] == pytest.approx(q / (p + q), abs=1e-12)
     assert pi2[1] == pytest.approx(p / (p + q), abs=1e-12)
@@ -468,7 +430,7 @@ def test_invariant_measure_residual_random():
 
 def test_invariant_measure_requires_strong_connectivity():
     g = WeightedDigraph([(0, 1, 1.0), (1, 1, 1.0)])
-    env = Environment.from_rows(g, {0: ((1,), np.array([1.0])), 1: ((1,), np.array([1.0]))})
+    env = Environment(g, [1.0, 1.0])
     with pytest.raises(NotStronglyConnected):
         invariant_measure(env)
 
@@ -526,11 +488,7 @@ def test_time_reverse_fixed_point_on_reversible_chain():
     g = WeightedDigraph(
         [(i, j, 1.0) for i in range(3) for j in range(3) if i != j]
     )
-    env = Environment.from_rows(g, {
-        0: ((1, 2), np.array([0.5, 0.5])),
-        1: ((0, 2), np.array([0.5, 0.5])),
-        2: ((0, 1), np.array([0.5, 0.5])),
-    })
+    env = Environment(g, np.full(6, 0.5))
     rev = time_reverse(env)
     for t, h, _ in g.edges():
         assert rev.prob(t, h) == pytest.approx(env.prob(t, h), abs=1e-12)
@@ -757,22 +715,22 @@ def _bfs(succ, sources):
 @st.composite
 def _small_environments(draw):
     """Environment on 2-7 vertices named by non-contiguous ints or strings,
-    every vertex with at least one out-edge, probabilities at least 1/63;
-    rows are listed with their heads in shuffled order."""
+    every vertex with at least one out-edge, probabilities at least 1/63."""
     n = draw(st.integers(2, 7))
     if draw(st.booleans()):
         names = sorted(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True)))
     else:
         names = sorted(draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
                                      min_size=n, max_size=n, unique=True)))
-    rows = {}
+    probs = {}
     edges = []
     for t in names:
         heads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n, unique=True))
         weights = np.array([draw(st.integers(1, 9)) for _ in heads], dtype=float)
-        rows[t] = (tuple(heads), weights / weights.sum())
+        probs.update(zip([(t, h) for h in heads], (weights / weights.sum()).tolist()))
         edges += [(t, h, 1.0) for h in heads]
-    return Environment.from_rows(WeightedDigraph(edges, vertices=names), rows)
+    g = WeightedDigraph(edges, vertices=names)
+    return Environment(g, [probs[e] for e in g.pos])
 
 
 @settings(max_examples=300, deadline=None)

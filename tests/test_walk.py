@@ -13,13 +13,11 @@ from rwde.errors import DeadEnd, NotAPath
 from rwde.graphs import WeightedDigraph
 from rwde.model import validate_params
 from rwde.walk import (
-    Trajectory,
     annealed_path_probability,
     default_tail_buffer,
     estimate_mean_hitting,
     estimate_velocity,
     regeneration_times,
-    simulate_derrw,
     simulate_derrw_batch,
     simulate_line,
 )
@@ -28,8 +26,7 @@ from conftest import plain_gamma_rows
 
 def test_derrw_single_edge_deterministic():
     g = WeightedDigraph([(0, 1, 2.0), (1, 0, 1.0)])
-    traj = simulate_derrw(g, 0, 5, RngStream(9))
-    assert traj.positions == (0, 1, 0, 1, 0, 1)
+    assert simulate_derrw_batch(g, 0, 5, 1, RngStream(9)) == [(0, 1, 0, 1, 0, 1)]
 
 
 def test_derrw_initial_urn_split():
@@ -37,7 +34,7 @@ def test_derrw_initial_urn_split():
     n = 20_000
     base = RngStream(10)
     count = sum(
-        simulate_derrw(g, 0, 1, base.substream(i)).positions[1] == 1 for i in range(n)
+        simulate_derrw_batch(g, 0, 1, 1, base.substream(i))[0][1] == 1 for i in range(n)
     )
     assert abs(count / n - 0.5) <= 3 * math.sqrt(0.25 / n)
 
@@ -45,14 +42,14 @@ def test_derrw_initial_urn_split():
 def test_derrw_dead_end():
     g = WeightedDigraph([(0, 1, 1.0)], vertices=[0, 1])
     with pytest.raises(DeadEnd):
-        simulate_derrw(g, 0, 3, RngStream(0))
+        simulate_derrw_batch(g, 0, 3, 1, RngStream(0))
     with pytest.raises(DeadEnd):
         simulate_derrw_batch(g, 0, 3, 5, RngStream(0))
 
 
 def test_derrw_unknown_start_is_a_value_error():
     with pytest.raises(ValueError, match=r"vertices not in graph: \[7\]"):
-        simulate_derrw(verify.derrw_graph(), 7, 3, RngStream(1))
+        simulate_derrw_batch(verify.derrw_graph(), 7, 3, 1, RngStream(1))
     with pytest.raises(ValueError, match=r"vertices not in graph: \['a'\]"):
         simulate_derrw_batch(verify.derrw_graph(), "a", 3, 2, RngStream(1))
 
@@ -109,16 +106,14 @@ def test_derrw_batch_matches_reference(case, horizon, runs, extra, seed):
     assert batch == _derrw_reference(g, start, horizon, runs, rng, stop)
     longer = simulate_derrw_batch(g, start, horizon, runs + extra, rng, stop_on_return_to=stop)
     assert longer[:runs] == batch
-    traj = simulate_derrw(g, start, horizon, rng, stop_on_return_to=stop)
-    assert traj.positions == batch[0]
+    assert simulate_derrw_batch(g, start, horizon, 1, rng, stop_on_return_to=stop) == batch[:1]
 
 
 def test_derrw_return_at_horizon_is_a_hit():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
     assert simulate_derrw_batch(g, 0, 2, 3, RngStream(4), stop_on_return_to=0) == [(0, 1, 0)] * 3
-    assert simulate_derrw(g, 0, 2, RngStream(4), stop_on_return_to=0).stop_reason == "hit_target"
-    assert simulate_derrw(g, 0, 1, RngStream(4), stop_on_return_to=0).stop_reason == "horizon"
-    assert simulate_derrw(g, 0, 0, RngStream(4), stop_on_return_to=0).stop_reason == "horizon"
+    assert simulate_derrw_batch(g, 0, 1, 2, RngStream(4), stop_on_return_to=0) == [(0, 1)] * 2
+    assert simulate_derrw_batch(g, 0, 0, 2, RngStream(4), stop_on_return_to=0) == [(0,)] * 2
 
 
 def test_annealed_path_probability_examples():
@@ -143,11 +138,9 @@ def test_annealed_path_probability_total_mass():
 
 
 def test_regeneration_times_examples():
-    t1 = Trajectory(start=0, positions=(0, 1, 2, 3), stop_reason="horizon")
-    assert regeneration_times(t1, 0) == [1, 2, 3]
-    t2 = Trajectory(start=0, positions=(0, 1, 0, 1, 2), stop_reason="horizon")
-    assert regeneration_times(t2, 0) == [4]
-    assert regeneration_times(t2, 10) == []
+    assert regeneration_times((0, 1, 2, 3), 0) == [1, 2, 3]
+    assert regeneration_times((0, 1, 0, 1, 2), 0) == [4]
+    assert regeneration_times((0, 1, 0, 1, 2), 10) == []
 
 
 def test_velocity_endpoint_ballistic():
@@ -182,9 +175,7 @@ def test_regeneration_increments_uncorrelated():
     incs = []
     for rep in range(30):
         xs = walker.positions(RngStream(18, (rep,)), 20_000)
-        taus = regeneration_times(
-            Trajectory(start=0, positions=xs, stop_reason="horizon"), buffer
-        )
+        taus = regeneration_times(xs, buffer)
         incs.extend(np.diff(xs[taus]).tolist())
     incs = np.asarray(incs, dtype=float)
     lag = np.corrcoef(incs[:-1], incs[1:])[0, 1]
