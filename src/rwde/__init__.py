@@ -4,7 +4,7 @@ algebra, and seeded Monte Carlo verification of the model's structural
 identities.
 """
 
-from .environment import Environment, RngStream, sample_environment
+from .environment import Environment, RngStream
 from .graphs import (
     WeightedDigraph,
     build_drift_closure,
@@ -30,15 +30,6 @@ from .model import (
     parse_alphas,
     reflect,
     validate_params,
-)
-from .solver import (
-    EscapeEstimate,
-    escape_probability,
-    expected_visits,
-    hitting_probability,
-    invariant_measure,
-    redirect_to,
-    time_reverse,
 )
 from .stats import (
     KsReport,

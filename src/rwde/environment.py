@@ -165,12 +165,6 @@ def check_rows(g: WeightedDigraph, probs: np.ndarray) -> None:
                          f"{probs[i, g.indptr[j]:g.indptr[j + 1]].tolist()}")
 
 
-def sample_environment(g: WeightedDigraph, rng) -> Environment:
-    """One environment on g: independent rows, row at x Dirichlet with the
-    out-edge weights at x as concentrations."""
-    return sample_environments(g, rng, 1)[0]
-
-
 def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
     """n independent environments from a single generator, so the output is
     a pure function of (stream, n): the rows of sample_rows."""

@@ -1,15 +1,15 @@
 """Exact quenched computations on finite environments by subtraction-free
 elimination: hitting probabilities, expected occupation before exit,
 invariant measures, time reversal, and the escape probability from the
-origin of a half-line truncation.
+origin of a half-line truncation.  Every solve takes k environments on a
+graph g as a (k, edges) matrix probs, row j environment j in ``g.edges()``
+order; one environment is ``probs[None]``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .environment import _MIN_POSITIVE, Environment, check_rows
+from .environment import _MIN_POSITIVE, check_rows
 from .errors import (
     NoExit,
     NotStronglyConnected,
@@ -22,31 +22,13 @@ from .model import DirichletParams, derive_params
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EscapeEstimate:
-    """The origin's escape probability on the half-line truncation [0,
-    window], and a bound on how much it can still fall between the windows
-    [0, window // 2] and [0, window] (see escape_rows)."""
-
-    value: float
-    truncation: float
-    window: int
-
-
-def hitting_probability(env: Environment, target, taboo) -> dict:
-    """z -> P^z(hit target before taboo) for the vertices z in order: the
-    bounded harmonic solution with boundary values 1 on the target and 0 on
-    the taboo, clamped to [0, 1]."""
-    h = hitting_rows(env.graph, target, taboo, env.probs[None])
-    return dict(zip(env.vertices, h[0].tolist()))
-
-
 def hitting_rows(g: WeightedDigraph, target, taboo, probs: np.ndarray) -> np.ndarray:
-    """hitting_probability for k environments on g: row j of the (k, edges)
-    matrix probs is environment j in ``g.edges()`` order, and row j of the
-    result its values in ``g.vertices`` order.  ValueError names target or
-    taboo members that are not vertices, and rejects an empty target and a
-    target that meets the taboo."""
+    """z -> P^z(hit target before taboo) for k environments on g: row j of
+    the result is environment j's bounded harmonic solution with boundary
+    values 1 on the target and 0 on the taboo, clamped to [0, 1], in
+    ``g.vertices`` order.  ValueError names target or taboo members that are
+    not vertices, and rejects an empty target and a target that meets the
+    taboo."""
     if not target:
         raise ValueError("target set must be nonempty")
     if set(target) & set(taboo):
@@ -149,15 +131,9 @@ def _eliminate(g: WeightedDigraph, kind: np.ndarray, probs: np.ndarray) -> np.nd
     return out
 
 
-def expected_visits(env: Environment, x, S) -> float:
-    """Expected number of visits to x, started at x, before first leaving S."""
-    return float(visits_rows(env.graph, x, S, env.probs[None])[0])
-
-
 def visits_rows(g: WeightedDigraph, x, S, probs: np.ndarray) -> np.ndarray:
-    """expected_visits for k environments on g: row j of the (k, edges)
-    matrix probs is environment j in ``g.edges()`` order, and entry j of
-    the result its expected visits.
+    """Expected number of visits to x, started at x, before first leaving S,
+    for k environments on g: entry j of the result is environment j's.
 
     Only x's strongly connected component C within S leads back to x, so
     the visits are 1 over x's censored exit mass: sum_y p(x, y) h(y), with
@@ -192,18 +168,10 @@ def _step_from(g: WeightedDigraph, i: int, h: np.ndarray, probs: np.ndarray) -> 
     return total
 
 
-def escape_probability(p: DirichletParams, env: Environment) -> EscapeEstimate:
-    """escape_rows for the one environment env on a half-line truncation."""
-    value, truncation = escape_rows(p, env.graph, env.probs[None])
-    return EscapeEstimate(value=float(value[0]), truncation=float(truncation[0]),
-                          window=max(env.vertices))
-
-
 def escape_rows(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tuple:
     """The origin's escape probability on the half-line truncation g = [0, W]
-    for k environments, with a truncation bound from the same solve: row j
-    of the (k, edges) matrix probs is environment j in ``g.edges()`` order,
-    and entry j of the two result arrays its value and its bound.
+    for k environments, with a truncation bound from the same solve: entry
+    j of the two result arrays is environment j's value and bound.
 
     value = sum_y p(0, y) h(y), with h the chance of reaching the far band
     [W-L+1, W] before returning to 0.  It falls as W grows, toward the
@@ -234,36 +202,10 @@ def escape_rows(p: DirichletParams, g: WeightedDigraph, probs: np.ndarray) -> tu
     return value, truncation
 
 
-def invariant_measure(env: Environment) -> dict:
-    """Stationary probability pi of the row-stochastic environment on a
-    strongly connected finite graph: pi P = pi, sum(pi) = 1."""
-    return dict(zip(env.vertices, stationary_rows(env.graph, env.probs[None])[0].tolist()))
-
-
-def time_reverse(env: Environment) -> Environment:
-    """Reversed-chain environment: new row prob x -> y is
-    pi(y) * prob(y, x) / pi(x); cycles keep their probability with the
-    orientation flipped."""
-    return Environment(env.graph.reversed(), reverse_rows(env.graph, env.probs[None])[0])
-
-
-def redirect_to(env: Environment, x, y) -> Environment:
-    """Surgery: replace the row at x with a sure jump to y (used by the
-    harmonic monotonicity checks)."""
-    g = env.graph
-    _check_vertices(g, (x, y))
-    edges = [(t, h, w) for t, h, w in g.edges() if t != x]
-    edges.append((x, y, 1.0))
-    # the new graph keeps g's rows in g's order, with x's row the edge (x, y)
-    lo, hi = g.indptr[g.index[x]:g.index[x] + 2]
-    probs = np.concatenate((env.probs[:lo], [1.0], env.probs[hi:]))
-    return Environment(WeightedDigraph(edges, vertices=g.vertices), probs)
-
-
 def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
-    """invariant_measure for k environments on g: row j of the (k, edges)
-    matrix probs is environment j in ``g.edges()`` order, and row j of the
-    result its stationary probabilities in ``g.vertices`` order."""
+    """Stationary probabilities pi (pi P = pi, sum(pi) = 1) for k
+    environments on a strongly connected g: row j of the result is
+    environment j's, in ``g.vertices`` order."""
     n = len(g.vertices)
     if not strongly_connected(g, g.vertices):
         raise NotStronglyConnected("support graph is not strongly connected")
@@ -288,9 +230,10 @@ def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
 
 
 def reverse_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
-    """time_reverse for k environments on g: row j of the (k, edges) matrix
-    probs is environment j in ``g.edges()`` order, and row j of the result its
-    reversal, with columns in ``g.reversed().edges()`` order."""
+    """Reversed chains of k environments on g: row j of the result is
+    environment j's reversal, whose entry x -> y is pi(y) p(y, x) / pi(x),
+    with columns in ``g.reversed().edges()`` order.  Cycles keep their
+    probability with the orientation flipped."""
     pi = stationary_rows(g, probs)
     gr = g.reversed()
     # reversed edge (x, y) is forward edge (y, x), listed by by_head; np.take

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import solver, stats, walk
-from .environment import RngStream, sample_environment, sample_rows
+from .environment import RngStream, sample_rows
 from .errors import GcdViolation, UnreachableBoundary
 from .graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from .kappa import min_exit_weight
@@ -161,11 +161,12 @@ def derrw_equivalence(runs: int, seed: int) -> tuple:
 
 
 def time_reversal(p: DirichletParams, draws: int, seed: int) -> tuple:
-    """Cycle identity (deterministic, 1e-10) plus the distributional match:
-    reversing `draws` environments (stream (2,)) against sampling `draws`
-    directly on the edge-reversed graph (stream (3,)), first/second moments
-    within 3 SE.  Each reversed environment must give every closed walk its
-    forward product; _closed_walks checks the |E| walks that imply it."""
+    """Cycle identity (deterministic, 1e-10 relative) plus the
+    distributional match: reversing `draws` environments (stream (2,))
+    against sampling `draws` directly on the edge-reversed graph (stream
+    (3,)), first/second moments within 3 SE.  Each reversed environment must
+    give every closed walk its forward product; _closed_walks checks the |E|
+    walks that imply it."""
     if draws < 2:
         raise ValueError(f"the moment comparison needs at least 2 draws, got {draws}")
     g = build_drift_closure(p, CLOSURE_M)
@@ -173,7 +174,9 @@ def time_reversal(p: DirichletParams, draws: int, seed: int) -> tuple:
     fwd = sample_rows(g, RngStream(seed, (2,)), draws)
     a = solver.reverse_rows(g, fwd)  # one column per reversed edge, in the order of gr.edges()
     # gr's edges sorted by head, then tail, reverse g's edges in g's order
-    cycle_err = np.abs(_closed_walks(g, fwd) - _closed_walks(g, a[:, gr.by_head]))
+    P, Q = _closed_walks(g, fwd), _closed_walks(g, a[:, gr.by_head])
+    with np.errstate(divide="ignore", invalid="ignore"):  # P = 0 < Q reads inf
+        cycle_err = np.where(P == Q, 0.0, np.abs(P - Q) / P)  # both underflowed: 0
     max_cycle_err = float(np.max(cycle_err, initial=0.0))  # a NaN fails
 
     b = sample_rows(gr, RngStream(seed, (3,)), draws)
@@ -282,7 +285,7 @@ def harmonic_monotonicity(instances: int, seed: int) -> tuple:
             continue
         n = rnd.randrange(5, 9)
         g = build_window(p, 0, n)
-        env = sample_environment(g, RngStream(seed, (2, attempts)))
+        probs = sample_rows(g, RngStream(seed, (2, attempts)), 1)
         verts = list(g.vertices)
         rnd.shuffle(verts)
         a_size = rnd.randrange(1, 3)
@@ -293,15 +296,15 @@ def harmonic_monotonicity(instances: int, seed: int) -> tuple:
         x = candidates[rnd.randrange(len(candidates))]
         y_opts = [v for v in g.vertices if v not in B and v != x]
         y = y_opts[rnd.randrange(len(y_opts))]
-        h = solver.hitting_probability(env, A, B)
+        h = solver.hitting_rows(g, A, B, probs)[0].tolist()  # on [0, n], position v is vertex v
         if h[y] < h[x]:
             x, y = y, x  # precondition wants the target of the redirect no worse
-        env2 = solver.redirect_to(env, x, y)
+        g2, probs2 = _redirect(g, probs, x, y)
         try:
-            h2 = solver.hitting_probability(env2, A, B)
+            h2 = solver.hitting_rows(g2, A, B, probs2)[0].tolist()
         except UnreachableBoundary:
             continue
-        drop = min(h2[z] - h[z] for z in g.vertices)
+        drop = min(new - old for old, new in zip(h, h2))
         worst_drop = min(worst_drop, drop)
         done += 1
     passed = done >= instances and worst_drop >= -HARMONIC_SLACK
@@ -310,6 +313,18 @@ def harmonic_monotonicity(instances: int, seed: int) -> tuple:
         "worst_drop": worst_drop,
         "slack": HARMONIC_SLACK,
     }
+
+
+def _redirect(g: WeightedDigraph, probs: np.ndarray, x, y) -> tuple:
+    """Surgery on the environments probs ((k, edges), g's edge order): the
+    row at x becomes a sure jump to y.  Returns the new graph and its
+    probabilities, which keep g's rows in g's order."""
+    edges = [(t, h, w) for t, h, w in g.edges() if t != x]
+    edges.append((x, y, 1.0))
+    lo, hi = g.indptr[g.index[x]:g.index[x] + 2]
+    ones = np.ones((len(probs), 1))
+    return (WeightedDigraph(edges, vertices=g.vertices),
+            np.concatenate((probs[:, :lo], ones, probs[:, hi:]), axis=1))
 
 
 # --- trap-moment exponent ----------------------------------------------------

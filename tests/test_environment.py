@@ -9,7 +9,6 @@ from rwde.environment import (
     Environment,
     RngStream,
     resample_count,
-    sample_environment,
     sample_environments,
     sample_rows,
 )
@@ -73,7 +72,7 @@ def test_restriction_independence():
 def test_environment_rows_sum_to_one():
     p = validate_params(2, 2, {-2: 0.4, -1: 1.0, 1: 1.2, 2: 0.6})
     g = build_window(p, 0, 10)
-    env = sample_environment(g, RngStream(3))
+    env = sample_environments(g, RngStream(3), 1)[0]
     for x in env.vertices:
         heads, probs = env.row(x)
         assert abs(probs.sum() - 1.0) <= 1e-12
@@ -106,9 +105,9 @@ def test_environment_small_weight_tail_exponent():
 def test_environment_determinism_byte_identical():
     p = validate_params(1, 2, {-1: 0.7, 1: 0.2, 2: 1.1})
     g = build_window(p, -3, 7)
-    d1 = sample_environment(g, RngStream(5, (9,))).dump()
-    d2 = sample_environment(g, RngStream(5, (9,))).dump()
-    d3 = sample_environment(g, RngStream(5, (10,))).dump()
+    d1 = sample_environments(g, RngStream(5, (9,)), 1)[0].dump()
+    d2 = sample_environments(g, RngStream(5, (9,)), 1)[0].dump()
+    d3 = sample_environments(g, RngStream(5, (10,)), 1)[0].dump()
     assert d1 == d2
     assert d1 != d3
 
@@ -141,7 +140,7 @@ def test_gamma_rows_refuse_rows_that_always_underflow():
 
 def test_sink_row_is_certain():
     g = WeightedDigraph([(0, 1, 1.0), (1, 1, 2.0)])
-    env = sample_environment(g, RngStream(0))
+    env = sample_environments(g, RngStream(0), 1)[0]
     assert env.row(1) == ((1,), pytest.approx([1.0]))
     assert env.prob(0, 1) == 1.0  # single out-edge
 
@@ -149,7 +148,7 @@ def test_sink_row_is_certain():
 def test_isolated_vertex_rejected():
     g = WeightedDigraph([(0, 1, 1.0)], vertices=[0, 1, 2])
     with pytest.raises(IsolatedVertex):
-        sample_environment(g, RngStream(0))
+        sample_environments(g, RngStream(0), 1)
 
 
 def test_environment_validation():
@@ -269,7 +268,7 @@ def test_single_environment_fallback_counts_redraws():
     for seed in range(20):
         expected, redraws = _per_vertex_reference(g, RngStream(seed).generator())
         before = resample_count()
-        assert sample_environment(g, RngStream(seed)).probs.tobytes() == expected.tobytes()
+        assert sample_environments(g, RngStream(seed), 1)[0].probs.tobytes() == expected.tobytes()
         assert resample_count() - before == redraws
         total += redraws
     assert total > 0

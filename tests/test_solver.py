@@ -16,7 +16,6 @@ from rwde.environment import (
     _MIN_POSITIVE,
     Environment,
     RngStream,
-    sample_environment,
     sample_environments,
     sample_rows,
 )
@@ -35,16 +34,7 @@ from rwde.graphs import (
     strongly_connected,
 )
 from rwde.model import parse_alphas, validate_params
-from rwde.solver import (
-    escape_probability,
-    expected_visits,
-    hitting_probability,
-    invariant_measure,
-    redirect_to,
-    reverse_rows,
-    stationary_rows,
-    time_reverse,
-)
+from rwde.solver import hitting_rows, reverse_rows, stationary_rows, visits_rows
 from conftest import gambler_ruin_up_probability
 
 NN = validate_params(1, 1, {-1: 1.0, 1: 1.0})
@@ -57,16 +47,26 @@ def _nn_env(p_right, graph=None):
     return Environment(g, [1.0, *(q for p in p_right for q in (1.0 - p, p)), 1.0])
 
 
+def _hit(env, target, taboo):
+    """hitting_rows on the one environment env: its values in g.vertices order."""
+    return hitting_rows(env.graph, target, taboo, env.probs[None])[0]
+
+
+def _one(g, rng):
+    """One environment on g, the first row of sample_rows."""
+    return sample_environments(g, rng, 1)[0]
+
+
 def test_hitting_boundary_conditions():
     env = _nn_env([0.5] * 4)
-    h = hitting_probability(env, frozenset([5]), frozenset([0]))
+    h = _hit(env, frozenset([5]), frozenset([0]))
     assert h[5] == 1.0 and h[0] == 0.0
 
 
 def test_hitting_symmetric_ruin():
     N = 10
     env = _nn_env([0.5] * (N - 1))
-    h = hitting_probability(env, frozenset([N]), frozenset([0]))
+    h = _hit(env, frozenset([N]), frozenset([0]))
     for z in range(N + 1):
         assert h[z] == pytest.approx(z / N, abs=1e-10)
 
@@ -77,7 +77,7 @@ def test_hitting_random_environment_against_closed_form():
         N = int(rnd.integers(5, 60))
         p_right = rnd.uniform(0.2, 0.9, size=N - 1)
         env = _nn_env(p_right)
-        h = hitting_probability(env, frozenset([N]), frozenset([0]))
+        h = _hit(env, frozenset([N]), frozenset([0]))
         oracle = gambler_ruin_up_probability(p_right)
         for z in range(N + 1):
             assert h[z] == pytest.approx(oracle[z], abs=1e-9)
@@ -88,8 +88,8 @@ def test_hitting_complementary_problems_sum_to_one():
     p_right = rnd.uniform(0.2, 0.9, size=20)
     env = _nn_env(p_right)
     N = len(p_right) + 1
-    a = hitting_probability(env, frozenset([N]), frozenset([0]))
-    b = hitting_probability(env, frozenset([0]), frozenset([N]))
+    a = _hit(env, frozenset([N]), frozenset([0]))
+    b = _hit(env, frozenset([0]), frozenset([N]))
     for z in env.vertices:
         assert a[z] + b[z] == pytest.approx(1.0, abs=1e-10)
 
@@ -98,7 +98,7 @@ def test_hitting_unreachable_boundary():
     g = WeightedDigraph([(0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
     env = Environment(g, [1.0, 1.0, 1.0])
     with pytest.raises(UnreachableBoundary):
-        hitting_probability(env, frozenset([0]), frozenset())
+        _hit(env, frozenset([0]), frozenset())
 
 
 def test_hitting_relatively_accurate_beside_a_sure_region():
@@ -109,27 +109,26 @@ def test_hitting_relatively_accurate_beside_a_sure_region():
     # fractions of its own row.
     p = validate_params(2, 1, {-2: 1.0990082245445978, -1: 0.7463830502972442,
                                0: 0.33587285203753964, 1: 0.22828147810405125})
-    env = sample_environment(build_window(p, 0, 8), RngStream(8, (2, 954)))
-    h = hitting_probability(env, frozenset({6}), frozenset({8}))
+    env = _one(build_window(p, 0, 8), RngStream(8, (2, 954)))
+    h = _hit(env, frozenset({6}), frozenset({8}))
     q = {y: Fraction(env.prob(7, y)) for y in (5, 6, 8)}
     exact = (q[5] + q[6]) / (q[5] + q[6] + q[8])
-    assert [h[x] for x in range(6)] == [1.0] * 6
+    assert h[:6].tolist() == [1.0] * 6
     assert abs(Fraction(h[7]) - exact) <= Fraction(1, 10**12) * exact
 
 
 def test_harmonic_surgery_never_lowers_values():
     p = validate_params(1, 2, {-1: 1.0, 1: 0.5, 2: 0.8})
     g = build_window(p, 0, 8)
-    env = sample_environment(g, RngStream(21))
+    probs = sample_rows(g, RngStream(21), 1)
     A, B = frozenset([8]), frozenset([0])
-    h = hitting_probability(env, A, B)
-    interior = [v for v in env.vertices if v not in A | B]
+    h = hitting_rows(g, A, B, probs)[0]
+    interior = [v for v in g.vertices if v not in A | B]
     x = min(interior, key=lambda v: h[v])
     y = max(interior, key=lambda v: h[v])
-    env2 = redirect_to(env, x, y)
-    h2 = hitting_probability(env2, A, B)
-    for z in env.vertices:
-        assert h2[z] >= h[z] - 1e-10
+    g2, probs2 = verify._redirect(g, probs, x, y)
+    assert g2.out_edges(x) == {y: 1.0} and probs2[0, g2.pos[x, y]] == 1.0
+    assert np.all(hitting_rows(g2, A, B, probs2)[0] >= h - 1e-10)
 
 
 def test_harmonic_suite_windows_are_strongly_connected():
@@ -158,27 +157,26 @@ def test_expected_visits_geometric():
     # single state with exit probability q is held 1/q times on average
     g = WeightedDigraph([(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
     q = 0.3
-    env = Environment(g, [1.0 - q, q, 1.0])
-    assert expected_visits(env, 0, [0]) == pytest.approx(1.0 / q, abs=1e-10)
+    assert visits_rows(g, 0, [0], np.array([[1.0 - q, q, 1.0]]))[0] == pytest.approx(1.0 / q, abs=1e-10)
 
 
 def test_expected_visits_unknown_vertex_is_a_value_error():
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    env = sample_environment(build_window(p, 0, 4), RngStream(1))
+    g = build_window(p, 0, 4)
     with pytest.raises(ValueError, match=r"vertices not in graph: \[99\]"):
-        expected_visits(env, 1, [1, 2, 99])
+        visits_rows(g, 1, [1, 2, 99], sample_rows(g, RngStream(1), 1))
 
 
 def test_unknown_vertices_are_value_errors():
-    # hitting_probability used to report the unknown target 99 as solved
+    # the hitting solve used to report the unknown target 99 as solved
     # (1.0), row(99) raised KeyError and prob(99, 1) returned 0.0
     p, _ = parse_alphas("-1:1,1:2")
-    env = sample_environment(build_window(p, 0, 4), RngStream(1))
+    env = _one(build_window(p, 0, 4), RngStream(1))
     missing = r"vertices not in graph: \[99\]"
     with pytest.raises(ValueError, match=missing):
-        hitting_probability(env, frozenset([99]), frozenset([0]))
+        _hit(env, frozenset([99]), frozenset([0]))
     with pytest.raises(ValueError, match=missing):
-        hitting_probability(env, frozenset([4]), frozenset([0, 99]))
+        _hit(env, frozenset([4]), frozenset([0, 99]))
     with pytest.raises(ValueError, match=missing):
         env.row(99)
     with pytest.raises(ValueError, match=missing):
@@ -192,28 +190,25 @@ def test_empty_or_overlapping_target_is_a_value_error():
     # the batch call used to return all zeros for both
     p, _ = parse_alphas("-1:1,1:1")
     g = build_window(p, 0, 6)
-    env = sample_environment(g, RngStream(1))
+    probs = sample_rows(g, RngStream(1), 1)
     for target, taboo, message in ((set(), {0}, "nonempty"), ({3}, {3}, "disjoint"),
                                    ({3, 6}, {0, 6}, "disjoint")):
         with pytest.raises(ValueError, match=message):
-            solver.hitting_rows(g, target, taboo, env.probs[None])
-        with pytest.raises(ValueError, match=message):
-            hitting_probability(env, target, taboo)
+            hitting_rows(g, target, taboo, probs)
 
 
 def test_expected_visits_no_exit():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
-    env = Environment(g, [1.0, 1.0])
     with pytest.raises(NoExit):
-        expected_visits(env, 0, [0, 1])
+        visits_rows(g, 0, [0, 1], np.ones((1, 2)))
 
 
 def test_expected_visits_ignores_unreachable_closed_class():
     # {1, 2} is a closed class inside S that 0 cannot reach; over all of S
     # the system is singular and the solve used to return nan
     g = WeightedDigraph([(0, 0, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
-    env = Environment(g, [0.5, 0.5, 1.0, 1.0, 1.0])
-    assert expected_visits(env, 0, [0, 1, 2]) == 2.0
+    probs = np.array([[0.5, 0.5, 1.0, 1.0, 1.0]])
+    assert visits_rows(g, 0, [0, 1, 2], probs).tolist() == [2.0]
 
 
 def test_expected_visits_reaching_a_closed_class_in_s():
@@ -221,10 +216,10 @@ def test_expected_visits_reaching_a_closed_class_in_s():
     # only its component {0} leads back to 0, so 0 is visited once, and the
     # closed class must not make the system singular
     g = WeightedDigraph([(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0)])
-    env = Environment(g, [0.5, 0.5, 1.0, 1.0, 1.0])
+    probs = np.array([[0.5, 0.5, 1.0, 1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert expected_visits(env, 0, [0, 1, 2]) == 1.0
+        assert visits_rows(g, 0, [0, 1, 2], probs).tolist() == [1.0]
 
 
 def test_expected_visits_rejects_a_non_positive_solution():
@@ -238,7 +233,7 @@ def test_expected_visits_rejects_a_non_positive_solution():
     g = build_window(p, 0, 54)
     env = sample_environments(g, RngStream(80), 3)[0]
     S = [v for v in g.vertices if v != 11]
-    G = expected_visits(env, 38, S)
+    G = float(visits_rows(g, 38, S, env.probs[None])[0])
     exact = _exact_visits(env, 38, S)
     assert 1e25 < exact < 1e26
     assert abs(Fraction(G) - exact) <= Fraction(1, 10**12) * exact
@@ -286,9 +281,9 @@ def _visits_until_hit(rows, start, targets, horizon, rng):
 def test_expected_visits_matches_monte_carlo():
     p = validate_params(1, 1, {-1: 0.8, 1: 1.4})
     g = build_window(p, 0, 4)
-    env = sample_environment(g, RngStream(33))
+    env = _one(g, RngStream(33))
     S = [1, 2, 3]
-    exact = expected_visits(env, 2, S)
+    exact = float(visits_rows(g, 2, S, env.probs[None])[0])
     n = 100_000
     base = RngStream(34)
     rows = {x: (env.row(x)[0], env.row(x)[1].tolist()) for x in env.vertices}
@@ -306,10 +301,9 @@ def test_expected_visits_matches_monte_carlo():
 def test_escape_bracket_deterministic_right():
     W = 8
     g = WeightedDigraph([(x, x + 1, 1.0) for x in range(W)] + [(W, W, 1.0)])
-    env = Environment(g, np.ones(W + 1))
     p = validate_params(1, 1, {-1: 1e-9, 1: 1.0})
-    est = escape_probability(p, env)
-    assert (est.value, est.truncation, est.window) == (1.0, 0.0, W)
+    value, truncation = solver.escape_rows(p, g, np.ones((1, W + 1)))
+    assert (value.tolist(), truncation.tolist()) == ([1.0], [0.0])
 
 
 def test_escape_bracket_constant_drift():
@@ -320,23 +314,23 @@ def test_escape_bracket_constant_drift():
     g = build_halfline(NN, W)
     env = Environment(g, [1.0] + [1 / 3, 2 / 3] * W)
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    est = escape_probability(p, env)
+    (value,), (truncation,) = solver.escape_rows(p, g, env.probs[None])
     h = lambda z: (1 - Fraction(1, 2**z)) / (1 - Fraction(1, 2**W))
-    assert est.value == pytest.approx(float(h(1)), rel=1e-12)
-    truncation = h(1) * (1 - h(W // 2)) / h(W // 2)
-    assert est.truncation == pytest.approx(float(truncation), rel=1e-5)
-    assert 1.1e-10 < est.truncation < 1.2e-10
+    assert value == pytest.approx(float(h(1)), rel=1e-12)
+    exact = h(1) * (1 - h(W // 2)) / h(W // 2)
+    assert truncation == pytest.approx(float(exact), rel=1e-5)
+    assert 1.1e-10 < truncation < 1.2e-10
 
 
 def test_escape_bracket_matches_product_formula():
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
     W = 128
     g = build_halfline(p, W)
-    env = sample_environment(g, RngStream(55))
-    est = escape_probability(p, env)
+    env = _one(g, RngStream(55))
+    value, _ = solver.escape_rows(p, g, env.probs[None])
     p_right = np.array([env.prob(z, z + 1) for z in range(1, W)])
     oracle = gambler_ruin_up_probability(p_right)
-    assert est.value == pytest.approx(oracle[1], abs=1e-9)
+    assert value[0] == pytest.approx(oracle[1], abs=1e-9)
 
 
 def test_escape_bracket_bounds_and_window_refinement():
@@ -346,15 +340,14 @@ def test_escape_bracket_bounds_and_window_refinement():
     g2 = build_halfline(p, W2)
     g1 = build_halfline(p, W1)
     for k in range(5):
-        env2 = sample_environment(g2, RngStream(60, (k,)))
-        probs1 = np.zeros(g1.weights.size)
+        env2 = _one(g2, RngStream(60, (k,)))
+        probs1 = np.zeros((1, g1.weights.size))
         for x in g1.vertices:
             for h, q in zip(*env2.row(x)):
-                probs1[g1.pos[x, min(h, W1)]] += q
-        env1 = Environment(g1, probs1)
-        b1 = escape_probability(p, env1)
-        b2 = escape_probability(p, env2)
-        assert b2.value <= b1.value + 1e-12  # the value falls as the window grows
+                probs1[0, g1.pos[x, min(h, W1)]] += q
+        (b1,), _ = solver.escape_rows(p, g1, probs1)
+        (b2,), _ = solver.escape_rows(p, g2, env2.probs[None])
+        assert b2 <= b1 + 1e-12  # the value falls as the window grows
 
 
 def test_escape_truncation_is_inf_when_half_the_window_reaches_the_origin():
@@ -398,12 +391,10 @@ def test_escape_truncation_bounds_the_fall_from_half_the_window(seed, data):
 
 def test_invariant_measure_two_state():
     g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0), (1, 1, 1.0)])
-    env = Environment(g, np.full(4, 0.5))
-    pi = invariant_measure(env)
+    pi = stationary_rows(g, np.full((1, 4), 0.5))[0]
     assert pi[0] == pytest.approx(0.5, abs=1e-12)
     p, q = 0.3, 0.8
-    env2 = Environment(g, [1 - p, p, q, 1 - q])
-    pi2 = invariant_measure(env2)
+    pi2 = stationary_rows(g, np.array([[1 - p, p, q, 1 - q]]))[0]
     assert pi2[0] == pytest.approx(q / (p + q), abs=1e-12)
     assert pi2[1] == pytest.approx(p / (p + q), abs=1e-12)
 
@@ -420,8 +411,8 @@ def test_invariant_measure_residual_random():
             if i != j and rnd.random() < 0.4
         ]
         g = WeightedDigraph(edges)
-        env = sample_environment(g, RngStream(70, (k,)))
-        pi = invariant_measure(env)
+        env = _one(g, RngStream(70, (k,)))
+        pi = stationary_rows(g, env.probs[None])[0]  # vertices 0 .. n - 1
         verts = env.vertices
         for x in verts:
             flow = sum(pi[t] * env.prob(t, x) for t in verts)
@@ -430,9 +421,8 @@ def test_invariant_measure_residual_random():
 
 def test_invariant_measure_requires_strong_connectivity():
     g = WeightedDigraph([(0, 1, 1.0), (1, 1, 1.0)])
-    env = Environment(g, [1.0, 1.0])
     with pytest.raises(NotStronglyConnected):
-        invariant_measure(env)
+        stationary_rows(g, np.ones((1, 2)))
 
 
 def _closure_rows(alphas, part, indices):
@@ -484,12 +474,17 @@ def test_stationary_rows_rejects_a_subnormal_component():
         stationary_rows(g, probs)
 
 
+def _reversed(env):
+    """env's reversal, an environment on the reversed graph."""
+    return Environment(env.graph.reversed(), reverse_rows(env.graph, env.probs[None])[0])
+
+
 def test_time_reverse_fixed_point_on_reversible_chain():
     g = WeightedDigraph(
         [(i, j, 1.0) for i in range(3) for j in range(3) if i != j]
     )
     env = Environment(g, np.full(6, 0.5))
-    rev = time_reverse(env)
+    rev = _reversed(env)
     for t, h, _ in g.edges():
         assert rev.prob(t, h) == pytest.approx(env.prob(t, h), abs=1e-12)
 
@@ -499,8 +494,8 @@ def test_time_reverse_cycle_identity_and_involution():
     n = 4
     edges = [(i, j, 0.3 + rnd.random()) for i in range(n) for j in range(n) if i != j]
     g = WeightedDigraph(edges)
-    env = sample_environment(g, RngStream(81))
-    rev = time_reverse(env)
+    env = _one(g, RngStream(81))
+    rev = _reversed(env)
     for _ in range(100):
         k = rnd.randrange(2, 6)
         cyc = [rnd.randrange(n)]
@@ -511,7 +506,7 @@ def test_time_reverse_cycle_identity_and_involution():
         rcyc = cyc[::-1]
         bwd = math.prod(rev.prob(t, h) for t, h in zip(rcyc, rcyc[1:]))
         assert abs(fwd - bwd) <= 1e-10
-    back = time_reverse(rev)
+    back = _reversed(rev)
     for t, h, _ in g.edges():
         assert back.prob(t, h) == pytest.approx(env.prob(t, h), abs=1e-10)
 
@@ -531,13 +526,14 @@ def test_solver_and_suite_outputs_golden():
     for text, by_seed in GOLDEN["brackets"].items():
         p, _ = parse_alphas(text)
         g = build_halfline(p, 128)
-        for seed, (truncation, value) in by_seed.items():
-            est = escape_probability(p, sample_environment(g, RngStream(int(seed))))
-            assert (repr(est.truncation), repr(est.value)) == (truncation, value), (text, seed)
+        for seed, pinned in by_seed.items():
+            value, truncation = solver.escape_rows(p, g, sample_rows(g, RngStream(int(seed)), 1))
+            assert [repr(float(truncation[0])), repr(float(value[0]))] == pinned, (text, seed)
     p, _ = parse_alphas("-1:1,1:2")
-    env = sample_environment(build_drift_closure(p, 6), RngStream(7))
-    rev_dump = time_reverse(env).dump().encode()
-    pi_items = repr(sorted(invariant_measure(env).items())).encode()
+    env = _one(build_drift_closure(p, 6), RngStream(7))
+    rev_dump = _reversed(env).dump().encode()
+    pi = stationary_rows(env.graph, env.probs[None])[0].tolist()
+    pi_items = repr(sorted(zip(env.vertices, pi))).encode()
     assert hashlib.sha256(rev_dump).hexdigest() == GOLDEN["closure"]["time_reverse_dump_sha256"]
     assert hashlib.sha256(pi_items).hexdigest() == GOLDEN["closure"]["invariant_items_sha256"]
     sizes = {"reversal": {"replicas": 50}, "beta-law": {"replicas": 10, "window": 128},
@@ -558,8 +554,8 @@ def test_wide_support_reversal_golden():
         _, ev = verify.run_suite("reversal", p, seed=5, replicas=50)
         assert cli.dumps(ev) == evidence, text
     p, _ = parse_alphas(GOLDEN["closure_wide"]["alphas"])
-    env = sample_environment(build_drift_closure(p, 6), RngStream(7))
-    digest = hashlib.sha256(time_reverse(env).dump().encode()).hexdigest()
+    env = _one(build_drift_closure(p, 6), RngStream(7))
+    digest = hashlib.sha256(_reversed(env).dump().encode()).hexdigest()
     assert digest == GOLDEN["closure_wide"]["time_reverse_dump_sha256"]
 
 
@@ -572,16 +568,16 @@ def test_wide_support_beta_law_golden():
         p, _ = parse_alphas(text)
         _, ev = verify.run_suite("beta-law", p, seed=5, replicas=10, window=128)
         assert cli.dumps(ev) == pinned["evidence"], text
-        envs = sample_environments(build_halfline(p, 128), RngStream(5), 10)
-        ests = [(repr(e.value), repr(e.truncation))
-                for e in (escape_probability(p, env) for env in envs)]
+        g = build_halfline(p, 128)
+        value, truncation = solver.escape_rows(p, g, sample_rows(g, RngStream(5), 10))
+        ests = [(repr(v), repr(t)) for v, t in zip(value.tolist(), truncation.tolist())]
         assert hashlib.sha256(repr(ests).encode()).hexdigest() == pinned["brackets_sha256"], text
 
 
 def test_beta_law_brackets_the_environments_of_sample_environments():
     # the suite draws and solves in batches; its evidence must be that of
-    # the public one-environment calls, for one replica (a one-stream draw)
-    # and for several (a vertex-by-vertex draw)
+    # one solve per environment of sample_environments, for one replica (a
+    # one-stream draw) and for several (a vertex-by-vertex draw)
     from rwde import stats
     from rwde.model import derive_params
 
@@ -589,13 +585,14 @@ def test_beta_law_brackets_the_environments_of_sample_environments():
         p, _ = parse_alphas(text)
         dp = derive_params(p)
         for replicas in (1, 3):
-            envs = sample_environments(build_halfline(p, 64), RngStream(4), replicas)
-            ests = [escape_probability(p, env) for env in envs]
-            report = stats.ks_test(np.array([e.value for e in ests]),
-                                   stats.beta_cdf(dp.kappa1, dp.d_minus))
+            g = build_halfline(p, 64)
+            ests = [solver.escape_rows(p, g, env.probs[None])
+                    for env in sample_environments(g, RngStream(4), replicas)]
+            values, truncations = (np.concatenate(a) for a in zip(*ests))
+            report = stats.ks_test(values, stats.beta_cdf(dp.kappa1, dp.d_minus))
             _, ev = verify.beta_law(p, replicas=replicas, window=64, seed=4)
             assert ev["ks_statistic"] == report.statistic, (text, replicas)
-            assert ev["mean_bracket_width"] == float(np.mean([e.truncation for e in ests]))
+            assert ev["mean_bracket_width"] == float(np.mean(truncations))
 
 
 def _skewed_closure():
@@ -650,7 +647,7 @@ def _poison_reverse_rows(monkeypatch, edit):
 @pytest.mark.parametrize("edge", range(13))
 def test_one_wrong_reversed_entry_fails_the_reversal_suite(monkeypatch, edge):
     # one reversed entry off by 1e-6 in every environment: the closed walks
-    # through that edge miss by ten times the 1e-10 gate or more
+    # through that edge miss by 1e-6 relative, far above the 1e-10 gate
     p, _ = parse_alphas("-1:1,1:2")
     assert build_drift_closure(p, verify.CLOSURE_M).weights.size == 13
 
@@ -659,7 +656,25 @@ def test_one_wrong_reversed_entry_fails_the_reversal_suite(monkeypatch, edge):
 
     _poison_reverse_rows(monkeypatch, edit)
     passed, ev = verify.time_reversal(p, draws=50, seed=5)
-    assert ev["max_cycle_error"] > 1e-9 and not passed
+    assert ev["max_cycle_error"] > 9e-7 and not passed
+
+
+def test_wrong_entry_on_the_smallest_closed_walk_fails_the_reversal_suite(monkeypatch):
+    # the gate is relative: one environment's reversed entry off by 1e-6 on
+    # the walk with the smallest product (2.15e-7) moves that product by
+    # only 2e-13, which an absolute 1e-10 gate let pass
+    p, _ = parse_alphas("-1:1,1:2")
+    g = build_drift_closure(p, verify.CLOSURE_M)
+    walks = verify._closed_walks(g, sample_rows(g, RngStream(1, (2,)), 200))
+    env, edge = np.unravel_index(np.argmin(walks), walks.shape)
+    assert 2e-7 < walks[env, edge] < 2.2e-7
+
+    def edit(out):
+        out[env, g.reversed().by_head[edge]] *= 1 + 1e-6
+
+    _poison_reverse_rows(monkeypatch, edit)
+    passed, ev = verify.time_reversal(p, draws=200, seed=1)
+    assert ev["max_cycle_error"] > 9e-7 and not passed
 
 
 @pytest.mark.parametrize("row", [0, 2])
@@ -691,12 +706,12 @@ def test_nan_visits_fail_the_tournier_cross_check(monkeypatch):
 
 
 def test_tournier_visits_match_per_environment_calls():
-    # the suite's batched visits are the one-environment expected_visits
-    # floats, and its dense cross-check agrees with them
+    # the suite's batched visits are the floats of one solve per
+    # environment, and its dense cross-check agrees with them
     g = verify.tournier_graph()
     flat = sample_rows(g, RngStream(4), 500)
-    batch = solver.visits_rows(g, 0, [0, 1, 2, 3], flat)
-    assert batch.tolist() == [expected_visits(Environment(g, row), 0, [0, 1, 2, 3]) for row in flat]
+    batch = visits_rows(g, 0, [0, 1, 2, 3], flat)
+    assert batch.tolist() == [float(visits_rows(g, 0, [0, 1, 2, 3], row[None])[0]) for row in flat]
     passed, ev = verify.tournier_exponent(n_envs=500, seed=4)
     assert passed and ev["solver_cross_check_dev"] <= 1e-12
 
@@ -743,11 +758,12 @@ def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
     succ = {v: env.row(v)[0] for v in verts}
     pred = {v: [t for t in verts if v in succ[t]] for v in verts}
     unknown = [v for v in verts if v not in target | taboo]
+    at = env.graph.index
     if not set(unknown) <= _bfs(pred, target | taboo):
         with pytest.raises(UnreachableBoundary):
-            hitting_probability(env, target, taboo)
+            _hit(env, target, taboo)
     else:
-        h = hitting_probability(env, target, taboo)
+        h = _hit(env, target, taboo)
         M = np.eye(len(unknown))
         b = np.zeros(len(unknown))
         for i, v in enumerate(unknown):
@@ -757,18 +773,17 @@ def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
                 elif y in unknown:
                     M[i, unknown.index(y)] -= q
         x = np.linalg.solve(M, b) if unknown else b
-        assert set(h) == set(verts)
-        assert all(h[v] == 1.0 for v in target) and all(h[v] == 0.0 for v in taboo)
+        assert all(h[at[v]] == 1.0 for v in target) and all(h[at[v]] == 0.0 for v in taboo)
         for i, v in enumerate(unknown):
-            assert abs(h[v] - x[i]) <= 1e-12
+            assert abs(h[at[v]] - x[i]) <= 1e-12
 
     if all(_bfs(succ, [v]) == set(verts) for v in verts):
-        pi = invariant_measure(env)
-        flow = {v: sum(pi[t] * env.prob(t, v) for t in verts) for v in verts}
-        assert all(abs(flow[v] - pi[v]) <= 1e-12 for v in verts)
+        pi = stationary_rows(env.graph, env.probs[None])[0]
+        flow = {v: sum(pi[at[t]] * env.prob(t, v) for t in verts) for v in verts}
+        assert all(abs(flow[v] - pi[at[v]]) <= 1e-12 for v in verts)
     else:
         with pytest.raises(NotStronglyConnected):
-            invariant_measure(env)
+            stationary_rows(env.graph, env.probs[None])
 
 
 def _exact_hitting(env, target, taboo):
@@ -820,18 +835,18 @@ def test_hitting_and_visits_against_exact_state_reduction(env, data):
     taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
     pred = {v: [t for t in verts if v in env.row(t)[0]] for v in verts}
     if set(verts) <= _bfs(pred, target | taboo):
-        h = hitting_probability(env, target, taboo)
+        h = _hit(env, target, taboo)
         exact = _exact_hitting(env, target, taboo)
-        assert all(close(h[v], exact[v]) for v in verts), (h, exact)
+        assert all(close(h[env.graph.index[v]], exact[v]) for v in verts), (h, exact)
 
     x = data.draw(st.sampled_from(verts))
     S = {x} | set(data.draw(st.lists(st.sampled_from(verts), unique=True)))
     comp = _component(env, x, S)
     if all(set(env.row(v)[0]) <= comp for v in comp):
         with pytest.raises(NoExit):
-            expected_visits(env, x, S)
+            visits_rows(env.graph, x, S, env.probs[None])
     else:
-        assert close(expected_visits(env, x, S), _exact_visits(env, x, S))
+        assert close(visits_rows(env.graph, x, S, env.probs[None])[0], _exact_visits(env, x, S))
 
 
 @pytest.mark.parametrize("W", [64, 256, 1024])
@@ -859,10 +874,8 @@ def _outcome(fn):
 
 
 def _per_environment_rows(g, target, taboo, probs):
-    """hitting_probability on each row of probs, as a (rows, vertices) matrix."""
-    hs = [hitting_probability(Environment(g, row), target, taboo)
-          for row in probs]
-    return np.array([[h[v] for v in g.vertices] for h in hs])
+    """hitting_rows on each row of probs alone, as a (rows, vertices) matrix."""
+    return np.concatenate([hitting_rows(g, target, taboo, row[None]) for row in probs])
 
 
 def _assert_batch_matches(g, target, taboo, probs, entries):
@@ -916,9 +929,9 @@ def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W
                           (frozenset([0]), frozenset([W]))):
         _assert_batch_matches(g, target, taboo, probs, entries)
     if derive_params(p).kappa1 > 0:
-        want = _outcome(lambda: [escape_probability(p, env) for env in envs])
+        want = _outcome(lambda: [solver.escape_rows(p, g, row[None]) for row in probs])
         got = _outcome(lambda: solver.escape_rows(p, g, probs))
         if isinstance(want, str):
             assert got == want
         else:
-            assert [(e.value, e.truncation) for e in want] == list(zip(*(a.tolist() for a in got)))
+            assert [(v[0], t[0]) for v, t in want] == list(zip(*(a.tolist() for a in got)))
