@@ -11,14 +11,17 @@ import argparse
 import math
 import sys
 
-from . import verify
-from .environment import RngStream
 from .errors import RwdeError
 from .kappa import classify_regime, diameter_bound, kappa0_search
 from .model import parse_alphas
-from .walk import estimate_velocity, simulate_line
 
 DEFAULT_ANALYZE_DIAMETER = 24
+# The flags of ``rwde verify <suite>`` besides --seed and --out; the suites
+# without --alphas draw or fix their own weights.
+FLAGS = {"beta-law": ("--alphas", "--replicas", "--window"), "derrw": ("--steps",),
+         "reversal": ("--alphas", "--replicas"), "loop-reversal": ("--alphas", "--steps"),
+         "harmonic": ("--replicas",), "tournier": ("--replicas",)}
+SUITES = tuple(FLAGS)
 
 
 def main(argv=None) -> int:
@@ -88,7 +91,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_speed)
 
     sp = sub.add_parser("verify", help="statistical verification suites")
-    sp.add_argument("suite", choices=verify.SUITES)
+    sp.add_argument("suite", choices=SUITES)
     common(sp, alphas_required=False)
     sp.add_argument("--replicas", type=int, default=None)
     sp.add_argument("--window", type=int, default=None)
@@ -149,6 +152,9 @@ def cmd_kappa0(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .environment import RngStream  # the numpy layers load with the commands that run them
+    from .walk import simulate_line
+
     p, _ = parse_alphas(args.alphas)
     xs = simulate_line(p, args.steps, RngStream(args.seed, (0,)))
     lines = ["n,x"]
@@ -158,6 +164,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_speed(args) -> int:
+    from .walk import estimate_velocity
+
     p, _ = parse_alphas(args.alphas)
     est = estimate_velocity(p, steps=args.steps, replicas=args.replicas,
                             method=args.method, seed=args.seed)
@@ -177,8 +185,10 @@ def cmd_speed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.alphas and "--alphas" not in verify.FLAGS[args.suite]:
-        raise ValueError(f"verify {args.suite} reads only {', '.join(verify.FLAGS[args.suite])}, "
+    from . import verify
+
+    if args.alphas and "--alphas" not in FLAGS[args.suite]:
+        raise ValueError(f"verify {args.suite} reads only {', '.join(FLAGS[args.suite])}, "
                          "not --alphas")
     p, _ = parse_alphas(args.alphas or "-1:1,1:2")  # the suites without --alphas ignore p
     passed, evidence = verify.run_suite(

@@ -222,7 +222,9 @@ def stationary_rows(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
             pi[:, j] = np.matmul(pi[:, None, :j], Q[:, :j, j, None])[:, 0, 0]
         pi = pi / pi.sum(axis=1, keepdims=True)
     if not np.all(pi >= np.finfo(float).tiny):  # a zero, subnormal or NaN component
-        raise SingularSystem(f"stationary solve gave a component {pi.min():.3e}")
+        raise SingularSystem(f"stationary components fall below the float range (smallest "
+                             f"{pi.min():.3e}): the weights are too small for an exact "
+                             "stationary vector")
     residual = np.max(np.abs(np.matmul(pi[:, None, :], P)[:, 0] - pi), initial=0.0)
     if not residual <= RESIDUAL_TOL:
         raise SingularSystem(f"stationarity residual {residual:.3e}")

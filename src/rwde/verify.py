@@ -13,18 +13,13 @@ import math
 import numpy as np
 
 from . import solver, stats, walk
+from .cli import FLAGS, SUITES
 from .environment import RngStream, sample_rows
 from .errors import GcdViolation, UnreachableBoundary
 from .graphs import WeightedDigraph, build_drift_closure, build_halfline, build_window
 from .kappa import min_exit_weight
 from .model import DirichletParams, derive_params, validate_params
 
-# The flags of ``rwde verify <suite>`` besides --seed and --out; the suites
-# without --alphas draw or fix their own weights.
-FLAGS = {"beta-law": ("--alphas", "--replicas", "--window"), "derrw": ("--steps",),
-         "reversal": ("--alphas", "--replicas"), "loop-reversal": ("--alphas", "--steps"),
-         "harmonic": ("--replicas",), "tournier": ("--replicas",)}
-SUITES = tuple(FLAGS)
 CLOSURE_M = 6  # both reversal suites run on the drift closure of [0, CLOSURE_M]
 DERRW_DEPTH = 4  # the derrw suite counts the paths of this many steps
 HARMONIC_SLACK = 1e-10  # the largest drop of a hitting probability put down to rounding
@@ -161,7 +156,7 @@ def derrw_equivalence(runs: int, seed: int) -> tuple:
 
 
 def time_reversal(p: DirichletParams, draws: int, seed: int) -> tuple:
-    """Cycle identity (deterministic, 1e-10 relative) plus the
+    """Cycle identity (deterministic, 1e-10 in log products) plus the
     distributional match: reversing `draws` environments (stream (2,))
     against sampling `draws` directly on the edge-reversed graph (stream
     (3,)), first/second moments within 3 SE.  Each reversed environment must
@@ -174,10 +169,8 @@ def time_reversal(p: DirichletParams, draws: int, seed: int) -> tuple:
     fwd = sample_rows(g, RngStream(seed, (2,)), draws)
     a = solver.reverse_rows(g, fwd)  # one column per reversed edge, in the order of gr.edges()
     # gr's edges sorted by head, then tail, reverse g's edges in g's order
-    P, Q = _closed_walks(g, fwd), _closed_walks(g, a[:, gr.by_head])
-    with np.errstate(divide="ignore", invalid="ignore"):  # P = 0 < Q reads inf
-        cycle_err = np.where(P == Q, 0.0, np.abs(P - Q) / P)  # both underflowed: 0
-    max_cycle_err = float(np.max(cycle_err, initial=0.0))  # a NaN fails
+    log_p, log_q = _closed_walks(g, fwd), _closed_walks(g, a[:, gr.by_head])
+    max_cycle_err = float(np.max(np.abs(log_p - log_q), initial=0.0))  # a NaN fails
 
     b = sample_rows(gr, RngStream(seed, (3,)), draws)
     z = []
@@ -200,21 +193,23 @@ def time_reversal(p: DirichletParams, draws: int, seed: int) -> tuple:
 
 
 def _closed_walks(g: WeightedDigraph, probs: np.ndarray) -> np.ndarray:
-    """Products of probs ((environments, edges), g's edge order) along one
-    closed walk per edge (x, y): 0 -> x on an out-tree, (x, y), y -> 0 on an
-    in-tree.  Each tree grows from 0, breadth first, along the first edge that
-    leaves it, so g must be strongly connected.  Two environments with equal
-    products on these walks have equal products on every closed walk."""
+    """Log products of probs ((environments, edges), g's edge order) along
+    one closed walk per edge (x, y): 0 -> x on an out-tree, (x, y), y -> 0 on
+    an in-tree.  Each tree grows from 0, breadth first, along the first edge
+    that leaves it, so g must be strongly connected.  Two environments with
+    equal products on these walks have equal products on every closed walk;
+    summing logs keeps every walk in range where the products underflow."""
     n = len(g.vertices)
-    to, back = np.ones((2, probs.shape[0], n))
+    logs = np.log(probs)
+    to, back = np.zeros((2, probs.shape[0], n))
     # the out-tree steps from tails to heads, the in-tree from heads to tails
-    for near, far, prod in ((g.tails, g.cols, to), (g.cols, g.tails, back)):
+    for near, far, total in ((g.tails, g.cols, to), (g.cols, g.tails, back)):
         hops = np.where(np.arange(n) == 0, 0, n)  # steps to 0 in the tree; n: not in it yet
         for _ in range(n - 1):
             e = np.argmin(np.where(hops[far] == n, hops[near], n))
-            prod[:, far[e]] = prod[:, near[e]] * probs[:, e]
+            total[:, far[e]] = total[:, near[e]] + logs[:, e]
             hops[far[e]] = hops[near[e]] + 1
-    return to[:, g.tails] * probs * back[:, g.cols]
+    return to[:, g.tails] + logs + back[:, g.cols]
 
 
 # --- loop reversal -----------------------------------------------------------
@@ -354,12 +349,14 @@ def tournier_exponent(n_envs: int, seed: int) -> tuple:
     samples = solver.visits_rows(g, 0, [0, 1, 2, 3], flat)
 
     # cross-check the first environments against a dense solve of
-    # (I - Q) G = e_0 over the transient vertices 0-3 (a NaN fails)
+    # (I - Q) G = e_0 over the transient vertices 0-3, relative to G >= 1,
+    # which reaches thousands of visits near a trap (a NaN fails)
     inner = (g.tails < 4) & (g.cols < 4)
     mats = np.tile(np.eye(4), (min(3, n_envs), 1, 1))
     mats[:, g.tails[inner], g.cols[inner]] -= flat[:len(mats), inner]
     dense = np.linalg.solve(mats, np.eye(4)[:, :1])[:, 0, 0]
-    max_dev = float(np.max(np.abs(dense - samples[:len(dense)]), initial=0.0))
+    G = samples[:len(dense)]
+    max_dev = float(np.max(np.abs(dense - G) / G, initial=0.0))
 
     k = stats.default_hill_k(n_envs)
     estimate = stats.hill_estimator(samples, k)

@@ -468,9 +468,11 @@ def test_reverse_rows_clamps_only_underflowed_entries():
 
 def test_stationary_rows_rejects_a_subnormal_component():
     # a subnormal component has lost its relative accuracy, and p / pi(x)
-    # could overflow in reverse_rows; environment 190 here has one
+    # could overflow in reverse_rows; environment 190 here has one, and the
+    # error names the limit that the weights ran into
     g, probs = _closure_rows("-1:0.005,1:0.01", 0, [190])
-    with pytest.raises(SingularSystem, match="component 6.833e-321"):
+    with pytest.raises(SingularSystem, match=r"below the float range \(smallest 6.833e-321\): "
+                                             "the weights are too small"):
         stationary_rows(g, probs)
 
 
@@ -521,7 +523,9 @@ def test_solver_and_suite_outputs_golden():
     # escape values and the tournier suite since every hitting and visits
     # system is one subtraction-free elimination, the truncation bounds and
     # the beta-law suite's width since they replaced the bracket's lower
-    # bound); a deliberate change of any of these outputs must update the
+    # bound, the reversal suite's cycle error since it compares log
+    # products, and the tournier cross-check since it is relative to the
+    # visits); a deliberate change of any of these outputs must update the
     # file openly
     for text, by_seed in GOLDEN["brackets"].items():
         p, _ = parse_alphas(text)
@@ -546,7 +550,8 @@ def test_solver_and_suite_outputs_golden():
 
 def test_wide_support_reversal_golden():
     # recorded when the reversal suite came to draw each part from one
-    # stream, and again when it came to check one closed walk per edge:
+    # stream, again when it came to check one closed walk per edge, and
+    # again when it came to compare the walks' log products:
     # with L >= 2 the rows have 4-5 entries, where a different summation
     # order or a batched LU would change the last bits
     for text, evidence in GOLDEN["reversal_wide"].items():
@@ -611,9 +616,9 @@ def test_cycle_products_close_their_walks():
     pi = stationary_rows(g, fwd)
     assert pi.max() / pi.min() > 1e3
     bwd = reverse_rows(g, fwd)[:, g.reversed().by_head]
-    p_fwd, p_bwd = verify._closed_walks(g, fwd), verify._closed_walks(g, bwd)
-    assert p_fwd.shape == (1, g.weights.size)
-    assert np.all(np.abs(p_fwd - p_bwd) <= 1e-12 * p_fwd)
+    log_fwd, log_bwd = verify._closed_walks(g, fwd), verify._closed_walks(g, bwd)
+    assert log_fwd.shape == (1, g.weights.size)
+    assert np.all(np.abs(log_fwd - log_bwd) <= 1e-12)
 
 
 def test_closed_walks_cover_a_ring_the_random_cycles_missed(monkeypatch):
@@ -624,8 +629,8 @@ def test_closed_walks_cover_a_ring_the_random_cycles_missed(monkeypatch):
     ones = np.ones((2, 70))
     bad = ones.copy()
     bad[1, 33] *= 1 + 1e-6
-    assert np.array_equal(verify._closed_walks(ring, ones), ones)
-    assert np.all(np.abs(verify._closed_walks(ring, bad) - 1.0)[1] > 9e-7)
+    assert np.array_equal(verify._closed_walks(ring, ones), np.zeros((2, 70)))
+    assert np.all(np.abs(verify._closed_walks(ring, bad))[1] > 9e-7)
     monkeypatch.setattr(verify, "build_drift_closure", lambda p, M: ring)
     passed, ev = verify.time_reversal(NN, draws=10, seed=1)
     assert passed and ev["max_cycle_error"] == 0.0
@@ -660,14 +665,35 @@ def test_one_wrong_reversed_entry_fails_the_reversal_suite(monkeypatch, edge):
 
 
 def test_wrong_entry_on_the_smallest_closed_walk_fails_the_reversal_suite(monkeypatch):
-    # the gate is relative: one environment's reversed entry off by 1e-6 on
-    # the walk with the smallest product (2.15e-7) moves that product by
-    # only 2e-13, which an absolute 1e-10 gate let pass
+    # the gate is on log products: one environment's reversed entry off by
+    # 1e-6 on the walk with the smallest product (2.15e-7) moves that
+    # product by only 2e-13, which an absolute 1e-10 gate on products let
+    # pass, but its log by 1e-6
     p, _ = parse_alphas("-1:1,1:2")
     g = build_drift_closure(p, verify.CLOSURE_M)
-    walks = verify._closed_walks(g, sample_rows(g, RngStream(1, (2,)), 200))
-    env, edge = np.unravel_index(np.argmin(walks), walks.shape)
-    assert 2e-7 < walks[env, edge] < 2.2e-7
+    logs = verify._closed_walks(g, sample_rows(g, RngStream(1, (2,)), 200))
+    env, edge = np.unravel_index(np.argmin(logs), logs.shape)
+    assert 2e-7 < math.exp(logs[env, edge]) < 2.2e-7
+
+    def edit(out):
+        out[env, g.reversed().by_head[edge]] *= 1 + 1e-6
+
+    _poison_reverse_rows(monkeypatch, edit)
+    passed, ev = verify.time_reversal(p, draws=200, seed=1)
+    assert ev["max_cycle_error"] > 9e-7 and not passed
+
+
+def test_closed_walks_that_underflow_are_checked(monkeypatch):
+    # at these weights 8 of the 2,600 closed-walk products underflow to 0.0
+    # on both sides, which a gate on products counted as a match; their logs
+    # stay finite, so an entry off by 1e-6 on the smallest one fails
+    p, _ = parse_alphas("-1:0.01,1:0.02")
+    g = build_drift_closure(p, verify.CLOSURE_M)
+    logs = verify._closed_walks(g, sample_rows(g, RngStream(1, (2,)), 200))
+    assert np.all(np.isfinite(logs)) and np.count_nonzero(np.exp(logs) == 0.0) == 8
+    passed, ev = verify.time_reversal(p, draws=200, seed=1)
+    assert passed and ev["max_cycle_error"] < 1e-12
+    env, edge = np.unravel_index(np.argmin(logs), logs.shape)
 
     def edit(out):
         out[env, g.reversed().by_head[edge]] *= 1 + 1e-6
@@ -714,6 +740,16 @@ def test_tournier_visits_match_per_environment_calls():
     assert batch.tolist() == [float(visits_rows(g, 0, [0, 1, 2, 3], row[None])[0]) for row in flat]
     passed, ev = verify.tournier_exponent(n_envs=500, seed=4)
     assert passed and ev["solver_cross_check_dev"] <= 1e-12
+
+
+def test_tournier_cross_check_is_relative_to_the_visits():
+    # near the trap {0, 1} an environment's expected visits reach thousands:
+    # here 4,765, where rounding of 5.6e-13 relative read 2.66e-9 absolute
+    # and failed a true theorem under an absolute 1e-9 gate, with the Hill
+    # estimate (1.544) inside its window
+    passed, ev = verify.tournier_exponent(n_envs=20_000, seed=188441826822)
+    assert 1.2 < ev["hill_estimate"] < 1.8
+    assert passed and 1e-13 < ev["solver_cross_check_dev"] < 1e-12
 
 
 def _bfs(succ, sources):
