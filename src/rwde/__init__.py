@@ -38,7 +38,7 @@ from .model import (
 
 # The names of the numpy layers, by module.
 _LAZY = {
-    "environment": ("Environment", "RngStream"),
+    "environment": ("RngStream",),
     "stats": ("KsReport", "beta_cdf", "default_hill_k", "hill_estimator", "ks_test",
               "mean_and_se", "regularized_incomplete_beta"),
     "walk": ("MeanHittingEstimate", "VelocityEstimate", "annealed_path_probability",

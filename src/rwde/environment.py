@@ -48,14 +48,6 @@ class RngStream:
         return random.Random((int(state[0]) << 32) ^ int(state[1]))
 
 
-def _as_generator(rng) -> Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
 _MIN_POSITIVE = 5e-324  # smallest subnormal double
 
 # A gamma(a) variate with a < 1 falls below the smallest subnormal with
@@ -110,14 +102,13 @@ def _gamma_rows(gen: Generator, a: np.ndarray, n: int, redraw: bool = True):
 
 
 class Environment:
-    """One environment on a finite graph: ``probs`` holds its transition
-    probabilities in the order of ``graph.edges()``, as one row of the
-    (k, edges) matrices that the batch kernels take and return.  row(x) is
-    the probability vector over the sorted out-neighbors of x."""
+    """One environment, ``probs`` in the order of ``graph.edges()``: an
+    adapter kept only for the benchmark, whose tracer wraps __init__ and
+    whose beta-law check reads row.  The library's one environment form is
+    a row of the (k, edges) matrix of sample_rows; ROADMAP item 19 deletes
+    this class and sample_environments once the benchmark reads that."""
 
     __slots__ = ("graph", "probs")
-
-    ROW_SUM_TOL = 1e-12
 
     def __init__(self, graph: WeightedDigraph, probs):
         probs = np.asarray(probs, dtype=float)
@@ -127,48 +118,36 @@ class Environment:
         self.graph = graph
         self.probs = probs
 
-    @property
-    def vertices(self) -> tuple:
-        return self.graph.vertices
-
     def row(self, x):
         """(the sorted heads of x, their probabilities as a view of probs)."""
         g = self.graph
         i = g.index.get(x)
         if i is None:
             _check_vertices(g, [x])
-        return g.heads[x], self.probs[g.indptr[i]:g.indptr[i + 1]]
+        lo, hi = g.indptr[i], g.indptr[i + 1]
+        return tuple(map(g.vertices.__getitem__, g.cols[lo:hi].tolist())), self.probs[lo:hi]
 
-    def prob(self, x, y) -> float:
-        """P(x -> y); 0.0 if (x, y) is not an edge between vertices of the graph."""
-        k = self.graph.pos.get((x, y))
-        if k is None:
-            _check_vertices(self.graph, (x, y))
-        return 0.0 if k is None else float(self.probs[k])
 
-    def dump(self) -> str:
-        """Golden-test format: ``x head prob`` lines, sorted."""
-        return "\n".join(f"{x} {h} {q!r}" for (x, h), q in zip(self.graph.pos, self.probs))
+ROW_SUM_TOL = 1e-12  # how far from 1 check_rows lets a row sum lie
 
 
 def check_rows(g: WeightedDigraph, probs: np.ndarray) -> None:
     """ValueError unless every row of the (k, edges) matrix probs, environment
     j in the order of ``g.edges()``, is a probability vector at each vertex:
-    entries in (0, 1] and a sum within Environment.ROW_SUM_TOL of 1 (NaN
-    fails).  IsolatedVertex if a vertex of g has no out-edge."""
+    entries in (0, 1] and a sum within ROW_SUM_TOL of 1 (NaN fails).
+    IsolatedVertex if a vertex of g has no out-edge."""
     _check_out_edges(g)
     vals = np.where((probs > 0.0) & (probs <= 1.0), probs, np.nan)  # a bad entry spoils its sum
-    bad = ~(np.abs(np.add.reduceat(vals, g.indptr[:-1], axis=1) - 1.0) <= Environment.ROW_SUM_TOL)
+    bad = ~(np.abs(np.add.reduceat(vals, g.indptr[:-1], axis=1) - 1.0) <= ROW_SUM_TOL)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"row at {g.vertices[j]!r} is not a probability vector: "
                          f"{probs[i, g.indptr[j]:g.indptr[j + 1]].tolist()}")
 
 
-def sample_environments(g: WeightedDigraph, rng, n: int) -> list:
-    """n independent environments from a single generator, so the output is
-    a pure function of (stream, n): the rows of sample_rows."""
-    return [Environment(g, row) for row in sample_rows(g, rng, n)]
+def sample_environments(g: WeightedDigraph, stream: RngStream, n: int) -> list:
+    """The rows of sample_rows as Environments, for the benchmark."""
+    return [Environment(g, row) for row in sample_rows(g, stream, n)]
 
 
 def _check_out_edges(g: WeightedDigraph) -> None:
@@ -184,9 +163,10 @@ def _check_out_edges(g: WeightedDigraph) -> None:
 _RUN_ROWS = 1 << 16
 
 
-def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
-    """n environments on g from one RngStream or Generator: an (n, edges)
-    matrix whose row j is environment j in the order of ``g.edges()``.
+def sample_rows(g: WeightedDigraph, stream: RngStream, n: int) -> np.ndarray:
+    """n environments on g from one RngStream, a pure function of (stream,
+    n): an (n, edges) matrix whose row j is environment j in the order of
+    ``g.edges()``.
 
     The environments are drawn vertex by vertex: vertex x's n rows come from
     ``_gamma_rows`` after those of the vertices before it.  A run of
@@ -196,12 +176,12 @@ def sample_rows(g: WeightedDigraph, rng, n: int) -> np.ndarray:
     and the call's vertices are drawn one by one, which redraws and counts
     such rows where the per-vertex calls would."""
     _check_out_edges(g)
-    gen = _as_generator(rng)
+    gen = stream.generator()
     out = np.empty((n, g.weights.size))
-    ptr, weights = g.indptr.tolist(), g.weights.tolist()
+    ptr, cols, weights = g.indptr.tolist(), g.cols.tolist(), g.weights.tolist()
     runs, prev = [], None
-    for i, (x, heads) in enumerate(g.heads.items()):
-        row = None if heads == (x,) else weights[ptr[i]:ptr[i + 1]]
+    for i in range(len(ptr) - 1):
+        row = None if cols[ptr[i]:ptr[i + 1]] == [i] else weights[ptr[i]:ptr[i + 1]]
         if row is None:
             out[:, ptr[i]] = 1.0  # a lone self-loop is certain
         elif row == prev:

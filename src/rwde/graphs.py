@@ -23,7 +23,7 @@ class WeightedDigraph:
     """
 
     __slots__ = ("vertices", "index", "pos", "indptr", "tails", "cols", "weights", "by_head",
-                 "head_ptr", "row_groups", "_heads", "_rev", "_adj")
+                 "head_ptr", "row_groups", "_rev", "_adj")
 
     def __init__(self, edges, vertices=()):
         import numpy as np
@@ -51,7 +51,7 @@ class WeightedDigraph:
         # np.unique: its sort maps 0.4 MB more of numpy into the process.
         rows = [np.flatnonzero(deg == d) for d in sorted(set(deg.tolist()))]
         self.row_groups = [(r, self.indptr[r, None] + np.arange(deg[r[0]])) for r in rows]
-        self._heads = self._rev = self._adj = None
+        self._rev = self._adj = None
 
     def _edges_at(self, flat, ends) -> dict:
         return dict(zip(map(self.vertices.__getitem__, ends[flat].tolist()),
@@ -87,23 +87,10 @@ class WeightedDigraph:
             )
         return self._rev
 
-    def dump(self) -> str:
-        """Debug format: one ``tail head weight`` line per edge, sorted."""
-        return "\n".join(f"{t} {h} {w!r}" for t, h, w in self.edges())
-
-    @property
-    def heads(self) -> dict:
-        """vertex -> its sorted heads (built on the first read)."""
-        if self._heads is None:
-            ptr = self.indptr.tolist()
-            cols = list(map(self.vertices.__getitem__, self.cols.tolist()))
-            self._heads = {v: tuple(cols[ptr[i]:ptr[i + 1]]) for i, v in enumerate(self.vertices)}
-        return self._heads
-
-    def reach(self, sources, within=None, backward=False) -> list:
+    def reach(self, sources, within, backward=False) -> list:
         """Flags over vertex positions: reachable from the positions in
         sources (with backward, reaching them), stepping only onto positions
-        flagged in within (default all)."""
+        flagged in within."""
         if self._adj is None:  # (row pointers, neighbours) as lists, built once
             self._adj = ((self.indptr.tolist(), self.cols.tolist()),
                          (self.head_ptr.tolist(), self.tails[self.by_head].tolist()))
@@ -115,7 +102,7 @@ class WeightedDigraph:
         while stack:
             z = stack.pop()
             for w in nbrs[ptr[z]:ptr[z + 1]]:
-                if not seen[w] and (within is None or within[w]):
+                if not seen[w] and within[w]:
                     seen[w] = True
                     stack.append(w)
         return seen

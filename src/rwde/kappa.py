@@ -3,15 +3,13 @@
 kappa0 is the minimum total weight leaving a finite strongly connected vertex
 set.  It is found by a depth-first branch-and-bound over the subsets of
 [0, max_diameter] whose leftmost point is 0, walked on an explicit stack, so
-the diameter has no depth limit.  Two facts make the pruning sharp:
-
-* every support offset must exit at least once from a strongly connected set
-  (the extreme points always exit), giving a per-offset floor on any
-  completion, and
-* in left-to-right decision order every undecided vertex lies strictly right
-  of the decided ones, and appending vertices strictly outside the current
-  span never lowers the exit weight, so the running exit weight of the
-  partial set is itself a valid lower bound.
+the diameter has no depth limit.  The pruning bound is the running exit
+weight of the partial set: in left-to-right decision order every undecided
+vertex lies strictly right of the decided ones, and appending vertices
+strictly outside the current span never lowers the exit weight.  The
+per-offset floor that _branch_and_bound also computes (every support offset
+exits a strongly connected set at least once) never exceeds that bound, so
+it never prunes.
 """
 from __future__ import annotations
 

@@ -68,7 +68,7 @@ def beta_law(p: DirichletParams, replicas: int, window: int, seed: int) -> tuple
         # then reaches the origin, and is inf for every environment
         raise ValueError(f"beta-law window {window} < 2L = {2 * p.L}: half the window "
                          f"has no room for a landing band of width L = {p.L}")
-    # the environments of sample_environments, solved in one batch
+    # the replicas' environments, drawn and solved in one batch
     values, truncations = solver.escape_rows(p, g, sample_rows(g, RngStream(seed), replicas))
     report = stats.ks_test(values, stats.beta_cdf(dp.kappa1, dp.d_minus))
     mean_truncation = float(truncations.mean())

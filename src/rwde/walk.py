@@ -216,7 +216,7 @@ def estimate_mean_hitting(p: DirichletParams, horizon: int, replicas: int,
         raise ValueError(f"need horizon >= 1 and replicas >= 1, "
                          f"got horizon={horizon}, replicas={replicas}")
     dp = derive_params(p)
-    if dp.kappa1 <= 0:
+    if dp.kappa1_is_zero or dp.kappa1 < 0:
         warnings.warn("mean hitting time of [1, inf) is intended for kappa1 > 0")
     walker = _LineWalker(p)
     hits = []

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwde.environment import (
-    Environment,
+    ROW_SUM_TOL,
     RngStream,
+    check_rows,
     resample_count,
-    sample_environments,
     sample_rows,
 )
 from rwde.errors import IsolatedVertex
@@ -72,11 +72,11 @@ def test_restriction_independence():
 def test_environment_rows_sum_to_one():
     p = validate_params(2, 2, {-2: 0.4, -1: 1.0, 1: 1.2, 2: 0.6})
     g = build_window(p, 0, 10)
-    env = sample_environments(g, RngStream(3), 1)[0]
-    for x in env.vertices:
-        heads, probs = env.row(x)
-        assert abs(probs.sum() - 1.0) <= 1e-12
-        assert set(heads) == set(g.out_edges(x))
+    probs = sample_rows(g, RngStream(3), 1)[0]
+    for x, i in g.index.items():
+        lo, hi = g.indptr[i], g.indptr[i + 1]
+        assert abs(probs[lo:hi].sum() - 1.0) <= 1e-12
+        assert {g.vertices[c] for c in g.cols[lo:hi]} == set(g.out_edges(x))
 
 
 def test_environment_window_marginal_means():
@@ -105,9 +105,9 @@ def test_environment_small_weight_tail_exponent():
 def test_environment_determinism_byte_identical():
     p = validate_params(1, 2, {-1: 0.7, 1: 0.2, 2: 1.1})
     g = build_window(p, -3, 7)
-    d1 = sample_environments(g, RngStream(5, (9,)), 1)[0].dump()
-    d2 = sample_environments(g, RngStream(5, (9,)), 1)[0].dump()
-    d3 = sample_environments(g, RngStream(5, (10,)), 1)[0].dump()
+    d1 = sample_rows(g, RngStream(5, (9,)), 1).tobytes()
+    d2 = sample_rows(g, RngStream(5, (9,)), 1).tobytes()
+    d3 = sample_rows(g, RngStream(5, (10,)), 1).tobytes()
     assert d1 == d2
     assert d1 != d3
 
@@ -140,24 +140,33 @@ def test_gamma_rows_refuse_rows_that_always_underflow():
 
 def test_sink_row_is_certain():
     g = WeightedDigraph([(0, 1, 1.0), (1, 1, 2.0)])
-    env = sample_environments(g, RngStream(0), 1)[0]
-    assert env.row(1) == ((1,), pytest.approx([1.0]))
-    assert env.prob(0, 1) == 1.0  # single out-edge
+    probs = sample_rows(g, RngStream(0), 1)[0]
+    assert probs[g.pos[1, 1]] == 1.0  # a lone self-loop
+    assert probs[g.pos[0, 1]] == 1.0  # single out-edge
 
 
 def test_isolated_vertex_rejected():
     g = WeightedDigraph([(0, 1, 1.0)], vertices=[0, 1, 2])
     with pytest.raises(IsolatedVertex):
-        sample_environments(g, RngStream(0), 1)
+        sample_rows(g, RngStream(0), 1)
 
 
 def test_environment_validation():
-    g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0)])
-    assert Environment(g, [1.0, 1.0]).prob(0, 1) == 1.0
-    with pytest.raises(ValueError, match="row at 0 is not a probability vector"):
-        Environment(g, [0.5, 1.0])
-    with pytest.raises(ValueError, match=r"need shape \(2,\)"):  # one probability more than edges
-        Environment(g, [0.5, 0.5, 1.0])
+    # the adapter the benchmark reads: its constructor checks the length and
+    # the rows, and row(x) is x's sorted heads and a view of its entries
+    from rwde.environment import Environment
+
+    g = WeightedDigraph([(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)])
+    env = Environment(g, [1.0, 0.25, 0.75, 1.0])
+    heads, probs = env.row(1)
+    assert heads == (0, 2) and probs.tolist() == [0.25, 0.75] and probs.base is env.probs
+    with pytest.raises(ValueError, match=r"vertices not in graph: \[99\]"):
+        env.row(99)
+    with pytest.raises(ValueError, match="row at 1 is not a probability vector"):
+        Environment(g, [1.0, 0.5, 0.75, 1.0])
+    for wrong in ([1.0, 0.25, 0.75], [1.0, 0.25, 0.75, 1.0, 1.0]):  # one entry short, one over
+        with pytest.raises(ValueError, match=r"need shape \(4,\)"):
+            Environment(g, wrong)
 
 
 @st.composite
@@ -179,23 +188,22 @@ def _labelled_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(_labelled_rows(), st.data())
 def test_environment_matches_dict_reference(case, data):
-    # Environment(g, flat) is the flat array in the order of g.edges();
-    # row, prob and dump agree with a dict built here
+    # an environment is a flat array in the order of g.edges(): x's row is
+    # indptr-delimited, its heads read from cols, and check_rows refuses
+    # every row that is not a probability vector
     g, rows = case
     ref = {(x, h): q for x, (heads, probs) in rows.items() for h, q in zip(heads, probs.tolist())}
     flat = np.array([ref[t, h] for t, h, _ in g.edges()])
-    env = Environment(g, flat)
-    for x in g.vertices:
-        heads, probs = env.row(x)
+    for x, j in g.index.items():
+        heads = tuple(g.vertices[c] for c in g.cols[g.indptr[j]:g.indptr[j + 1]])
         assert heads == tuple(sorted(rows[x][0]))
-        assert probs.tolist() == [ref[x, h] for h in heads]
-        assert all(env.prob(x, y) == ref.get((x, y), 0.0) for y in g.vertices)
-    assert env.dump() == "\n".join(f"{x} {h} {np.float64(ref[x, h])!r}" for x, h in sorted(ref))
+        assert flat[g.indptr[j]:g.indptr[j + 1]].tolist() == [ref[x, h] for h in heads]
+    check_rows(g, flat[None])
 
-    tol = Environment.ROW_SUM_TOL
+    tol = ROW_SUM_TOL
     i = data.draw(st.integers(0, flat.size - 1))
     lo = g.indptr[g.tails[i]]  # first entry of i's row
-    bad = [flat[:-1], np.append(flat, 0.5)]  # wrong lengths
+    bad = []
     for value in (np.nan, 0.0, -0.1, 1.5, flat[i] - 10 * tol, flat[i] + 10 * tol):
         v = flat.copy()
         v[i] = value
@@ -211,10 +219,10 @@ def test_environment_matches_dict_reference(case, data):
         bad.append(np.where(np.arange(flat.size) == i, 1.0 + tol / 4, flat))
     for v in bad:
         with pytest.raises(ValueError):
-            Environment(g, v)
+            check_rows(g, np.array([flat, v]))  # the bad environment second
     ok = flat.copy()
     ok[i] -= tol / 4  # inside the tolerance
-    assert Environment(g, ok).probs[i] == ok[i]
+    check_rows(g, ok[None])
 
 
 def _per_vertex_reference(g, gen, n=1):
@@ -256,7 +264,7 @@ def test_single_environment_matches_per_vertex_reference(g, seed):
     stream = RngStream(seed, (3,))
     expected, redraws = _per_vertex_reference(g, stream.generator())
     before = resample_count()
-    got = sample_environments(g, stream, 1)[0].probs
+    got = sample_rows(g, stream, 1)[0]
     assert resample_count() - before == redraws
     assert got.tobytes() == expected.tobytes()
 
@@ -268,7 +276,7 @@ def test_single_environment_fallback_counts_redraws():
     for seed in range(20):
         expected, redraws = _per_vertex_reference(g, RngStream(seed).generator())
         before = resample_count()
-        assert sample_environments(g, RngStream(seed), 1)[0].probs.tobytes() == expected.tobytes()
+        assert sample_rows(g, RngStream(seed), 1)[0].tobytes() == expected.tobytes()
         assert resample_count() - before == redraws
         total += redraws
     assert total > 0
@@ -340,8 +348,9 @@ def test_run_batched_environments_match_per_vertex_reference(g, n, run_rows, see
     ref_gen, gen = stream.generator(), stream.generator()
     expected, redraws = _per_vertex_reference(g, ref_gen, n)
     before = resample_count()
-    with mock.patch.object(environment, "_RUN_ROWS", run_rows):
-        got = np.array([env.probs for env in sample_environments(g, gen, n)])
+    with (mock.patch.object(environment, "_RUN_ROWS", run_rows),
+          mock.patch.object(RngStream, "generator", return_value=gen)):  # to read its state after
+        got = sample_rows(g, stream, n)
     assert resample_count() - before == redraws
     assert got.tobytes() == expected.tobytes()
     assert gen.random() == ref_gen.random()

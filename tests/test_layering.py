@@ -165,3 +165,24 @@ def test_every_export_is_used():
     for path in [*root.glob("bench/*.py"), root / "tests/test_acceptance.py"]:
         used.update(_references(ast.parse(path.read_text())))
     assert sorted(public - used) == []
+
+
+def test_one_environment_form():
+    # src and tests hold an environment as a row of the (k, edges) matrix of
+    # sample_rows; the Environment adapter and sample_environments, kept for
+    # the benchmark, are named only in their own module and in the test of
+    # the adapter's contract
+    adapter = {"Environment", "sample_environments"}
+    src = pathlib.Path(verify.__file__).parent
+    found = set()
+    for path in [*sorted(src.glob("*.py")), *sorted((src.parent.parent / "tests").glob("*.py"))]:
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                else:
+                    names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+                found.update(where for name in names if name in adapter)
+    tests = {where for where in found if where[0] != "environment.py"}
+    assert tests <= {("test_environment.py", "test_environment_validation")}

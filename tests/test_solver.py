@@ -12,13 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwde import cli, solver, verify
-from rwde.environment import (
-    _MIN_POSITIVE,
-    Environment,
-    RngStream,
-    sample_environments,
-    sample_rows,
-)
+from rwde.environment import _MIN_POSITIVE, RngStream, sample_rows
 from rwde.errors import (
     GcdViolation,
     NoExit,
@@ -40,33 +34,47 @@ from conftest import gambler_ruin_up_probability
 NN = validate_params(1, 1, {-1: 1.0, 1: 1.0})
 
 
-def _nn_env(p_right, graph=None):
-    """Environment on a birth-death window [0, N] with given up-probabilities
-    at the interior sites (boundary rows forced by the window edges)."""
-    g = graph or build_window(NN, 0, len(p_right) + 1)
-    return Environment(g, [1.0, *(q for p in p_right for q in (1.0 - p, p)), 1.0])
+def _nn_env(p_right):
+    """A birth-death window [0, N] and one environment on it, with given
+    up-probabilities at the interior sites (boundary rows forced by the
+    window edges)."""
+    g = build_window(NN, 0, len(p_right) + 1)
+    return g, np.array([1.0, *(q for p in p_right for q in (1.0 - p, p)), 1.0])
 
 
-def _hit(env, target, taboo):
-    """hitting_rows on the one environment env: its values in g.vertices order."""
-    return hitting_rows(env.graph, target, taboo, env.probs[None])[0]
+def _hit(g, probs, target, taboo):
+    """hitting_rows on the one environment probs: its values in g.vertices order."""
+    return hitting_rows(g, target, taboo, probs[None])[0]
 
 
-def _one(g, rng):
+def _one(g, stream):
     """One environment on g, the first row of sample_rows."""
-    return sample_environments(g, rng, 1)[0]
+    return sample_rows(g, stream, 1)[0]
+
+
+def _rows(g, probs):
+    """The one environment probs as {x: {head: probability}}, vertices and
+    heads sorted."""
+    rows = {x: {} for x in g.vertices}
+    for (x, h), q in zip(g.pos, probs.tolist()):
+        rows[x][h] = q
+    return rows
+
+
+def _dump(g, probs):
+    """``x head prob`` lines in the order of g.edges(): what the golden
+    closure digests hash."""
+    return "\n".join(f"{x} {h} {q!r}" for (x, h), q in zip(g.pos, probs))
 
 
 def test_hitting_boundary_conditions():
-    env = _nn_env([0.5] * 4)
-    h = _hit(env, frozenset([5]), frozenset([0]))
+    h = _hit(*_nn_env([0.5] * 4), frozenset([5]), frozenset([0]))
     assert h[5] == 1.0 and h[0] == 0.0
 
 
 def test_hitting_symmetric_ruin():
     N = 10
-    env = _nn_env([0.5] * (N - 1))
-    h = _hit(env, frozenset([N]), frozenset([0]))
+    h = _hit(*_nn_env([0.5] * (N - 1)), frozenset([N]), frozenset([0]))
     for z in range(N + 1):
         assert h[z] == pytest.approx(z / N, abs=1e-10)
 
@@ -76,8 +84,7 @@ def test_hitting_random_environment_against_closed_form():
     for _ in range(10):
         N = int(rnd.integers(5, 60))
         p_right = rnd.uniform(0.2, 0.9, size=N - 1)
-        env = _nn_env(p_right)
-        h = _hit(env, frozenset([N]), frozenset([0]))
+        h = _hit(*_nn_env(p_right), frozenset([N]), frozenset([0]))
         oracle = gambler_ruin_up_probability(p_right)
         for z in range(N + 1):
             assert h[z] == pytest.approx(oracle[z], abs=1e-9)
@@ -86,19 +93,18 @@ def test_hitting_random_environment_against_closed_form():
 def test_hitting_complementary_problems_sum_to_one():
     rnd = np.random.default_rng(11)
     p_right = rnd.uniform(0.2, 0.9, size=20)
-    env = _nn_env(p_right)
+    g, probs = _nn_env(p_right)
     N = len(p_right) + 1
-    a = _hit(env, frozenset([N]), frozenset([0]))
-    b = _hit(env, frozenset([0]), frozenset([N]))
-    for z in env.vertices:
+    a = _hit(g, probs, frozenset([N]), frozenset([0]))
+    b = _hit(g, probs, frozenset([0]), frozenset([N]))
+    for z in g.vertices:
         assert a[z] + b[z] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hitting_unreachable_boundary():
     g = WeightedDigraph([(0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-    env = Environment(g, [1.0, 1.0, 1.0])
     with pytest.raises(UnreachableBoundary):
-        _hit(env, frozenset([0]), frozenset())
+        _hit(g, np.ones(3), frozenset([0]), frozenset())
 
 
 def test_hitting_relatively_accurate_beside_a_sure_region():
@@ -109,9 +115,10 @@ def test_hitting_relatively_accurate_beside_a_sure_region():
     # fractions of its own row.
     p = validate_params(2, 1, {-2: 1.0990082245445978, -1: 0.7463830502972442,
                                0: 0.33587285203753964, 1: 0.22828147810405125})
-    env = _one(build_window(p, 0, 8), RngStream(8, (2, 954)))
-    h = _hit(env, frozenset({6}), frozenset({8}))
-    q = {y: Fraction(env.prob(7, y)) for y in (5, 6, 8)}
+    g = build_window(p, 0, 8)
+    probs = _one(g, RngStream(8, (2, 954)))
+    h = _hit(g, probs, frozenset({6}), frozenset({8}))
+    q = {y: Fraction(probs[g.pos[7, y]]) for y in (5, 6, 8)}
     exact = (q[5] + q[6]) / (q[5] + q[6] + q[8])
     assert h[:6].tolist() == [1.0] * 6
     assert abs(Fraction(h[7]) - exact) <= Fraction(1, 10**12) * exact
@@ -168,22 +175,15 @@ def test_expected_visits_unknown_vertex_is_a_value_error():
 
 
 def test_unknown_vertices_are_value_errors():
-    # the hitting solve used to report the unknown target 99 as solved
-    # (1.0), row(99) raised KeyError and prob(99, 1) returned 0.0
+    # the hitting solve used to report the unknown target 99 as solved (1.0)
     p, _ = parse_alphas("-1:1,1:2")
-    env = _one(build_window(p, 0, 4), RngStream(1))
+    g = build_window(p, 0, 4)
+    probs = _one(g, RngStream(1))
     missing = r"vertices not in graph: \[99\]"
     with pytest.raises(ValueError, match=missing):
-        _hit(env, frozenset([99]), frozenset([0]))
+        _hit(g, probs, frozenset([99]), frozenset([0]))
     with pytest.raises(ValueError, match=missing):
-        _hit(env, frozenset([4]), frozenset([0, 99]))
-    with pytest.raises(ValueError, match=missing):
-        env.row(99)
-    with pytest.raises(ValueError, match=missing):
-        env.prob(99, 1)
-    with pytest.raises(ValueError, match=missing):
-        env.prob(1, 99)
-    assert env.prob(0, 4) == 0.0  # a non-edge between vertices
+        _hit(g, probs, frozenset([4]), frozenset([0, 99]))
 
 
 def test_empty_or_overlapping_target_is_a_value_error():
@@ -231,10 +231,10 @@ def test_expected_visits_rejects_a_non_positive_solution():
     p = validate_params(1, 2, {-1: 0.5402508867090366, 0: 1.5387030276500022,
                                1: 1.380852156855922, 2: 0.862542020412901})
     g = build_window(p, 0, 54)
-    env = sample_environments(g, RngStream(80), 3)[0]
+    probs = sample_rows(g, RngStream(80), 3)[:1]
     S = [v for v in g.vertices if v != 11]
-    G = float(visits_rows(g, 38, S, env.probs[None])[0])
-    exact = _exact_visits(env, 38, S)
+    G = float(visits_rows(g, 38, S, probs)[0])
+    exact = _exact_visits(_rows(g, probs[0]), 38, S)
     assert 1e25 < exact < 1e26
     assert abs(Fraction(G) - exact) <= Fraction(1, 10**12) * exact
 
@@ -281,12 +281,12 @@ def _visits_until_hit(rows, start, targets, horizon, rng):
 def test_expected_visits_matches_monte_carlo():
     p = validate_params(1, 1, {-1: 0.8, 1: 1.4})
     g = build_window(p, 0, 4)
-    env = _one(g, RngStream(33))
+    probs = _one(g, RngStream(33))
     S = [1, 2, 3]
-    exact = float(visits_rows(g, 2, S, env.probs[None])[0])
+    exact = float(visits_rows(g, 2, S, probs[None])[0])
     n = 100_000
     base = RngStream(34)
-    rows = {x: (env.row(x)[0], env.row(x)[1].tolist()) for x in env.vertices}
+    rows = {x: (tuple(row), list(row.values())) for x, row in _rows(g, probs).items()}
     total = 0
     counts = np.empty(n)
     for i in range(n):
@@ -312,9 +312,9 @@ def test_escape_bracket_constant_drift():
     # truncation bound reads h at B' = {W / 2}
     W = 64
     g = build_halfline(NN, W)
-    env = Environment(g, [1.0] + [1 / 3, 2 / 3] * W)
+    probs = np.array([[1.0] + [1 / 3, 2 / 3] * W])
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
-    (value,), (truncation,) = solver.escape_rows(p, g, env.probs[None])
+    (value,), (truncation,) = solver.escape_rows(p, g, probs)
     h = lambda z: (1 - Fraction(1, 2**z)) / (1 - Fraction(1, 2**W))
     assert value == pytest.approx(float(h(1)), rel=1e-12)
     exact = h(1) * (1 - h(W // 2)) / h(W // 2)
@@ -326,9 +326,9 @@ def test_escape_bracket_matches_product_formula():
     p = validate_params(1, 1, {-1: 1.0, 1: 2.0})
     W = 128
     g = build_halfline(p, W)
-    env = _one(g, RngStream(55))
-    value, _ = solver.escape_rows(p, g, env.probs[None])
-    p_right = np.array([env.prob(z, z + 1) for z in range(1, W)])
+    probs = _one(g, RngStream(55))
+    value, _ = solver.escape_rows(p, g, probs[None])
+    p_right = probs[[g.pos[z, z + 1] for z in range(1, W)]]
     oracle = gambler_ruin_up_probability(p_right)
     assert value[0] == pytest.approx(oracle[1], abs=1e-9)
 
@@ -340,13 +340,13 @@ def test_escape_bracket_bounds_and_window_refinement():
     g2 = build_halfline(p, W2)
     g1 = build_halfline(p, W1)
     for k in range(5):
-        env2 = _one(g2, RngStream(60, (k,)))
+        probs2 = _one(g2, RngStream(60, (k,)))
         probs1 = np.zeros((1, g1.weights.size))
-        for x in g1.vertices:
-            for h, q in zip(*env2.row(x)):
+        for (x, h), q in zip(g2.pos, probs2.tolist()):
+            if x <= W1:
                 probs1[0, g1.pos[x, min(h, W1)]] += q
         (b1,), _ = solver.escape_rows(p, g1, probs1)
-        (b2,), _ = solver.escape_rows(p, g2, env2.probs[None])
+        (b2,), _ = solver.escape_rows(p, g2, probs2[None])
         assert b2 <= b1 + 1e-12  # the value falls as the window grows
 
 
@@ -411,12 +411,11 @@ def test_invariant_measure_residual_random():
             if i != j and rnd.random() < 0.4
         ]
         g = WeightedDigraph(edges)
-        env = _one(g, RngStream(70, (k,)))
-        pi = stationary_rows(g, env.probs[None])[0]  # vertices 0 .. n - 1
-        verts = env.vertices
-        for x in verts:
-            flow = sum(pi[t] * env.prob(t, x) for t in verts)
-            assert flow == pytest.approx(pi[x], abs=1e-10)
+        probs = _one(g, RngStream(70, (k,)))
+        pi = stationary_rows(g, probs[None])[0]  # vertices 0 .. n - 1
+        P = np.zeros((n, n))
+        P[g.tails, g.cols] = probs
+        assert np.all(np.abs(pi @ P - pi) <= 1e-10)
 
 
 def test_invariant_measure_requires_strong_connectivity():
@@ -476,19 +475,20 @@ def test_stationary_rows_rejects_a_subnormal_component():
         stationary_rows(g, probs)
 
 
-def _reversed(env):
-    """env's reversal, an environment on the reversed graph."""
-    return Environment(env.graph.reversed(), reverse_rows(env.graph, env.probs[None])[0])
+def _reversed(g, probs):
+    """The reversal of the one environment probs on g: the reversed graph and
+    its environment."""
+    return g.reversed(), reverse_rows(g, probs[None])[0]
 
 
 def test_time_reverse_fixed_point_on_reversible_chain():
     g = WeightedDigraph(
         [(i, j, 1.0) for i in range(3) for j in range(3) if i != j]
     )
-    env = Environment(g, np.full(6, 0.5))
-    rev = _reversed(env)
+    probs = np.full(6, 0.5)
+    gr, rev = _reversed(g, probs)
     for t, h, _ in g.edges():
-        assert rev.prob(t, h) == pytest.approx(env.prob(t, h), abs=1e-12)
+        assert rev[gr.pos[t, h]] == pytest.approx(probs[g.pos[t, h]], abs=1e-12)
 
 
 def test_time_reverse_cycle_identity_and_involution():
@@ -496,21 +496,22 @@ def test_time_reverse_cycle_identity_and_involution():
     n = 4
     edges = [(i, j, 0.3 + rnd.random()) for i in range(n) for j in range(n) if i != j]
     g = WeightedDigraph(edges)
-    env = _one(g, RngStream(81))
-    rev = _reversed(env)
+    probs = _one(g, RngStream(81))
+    gr, rev = _reversed(g, probs)
+    fwd_rows, rev_rows = _rows(g, probs), _rows(gr, rev)
     for _ in range(100):
         k = rnd.randrange(2, 6)
         cyc = [rnd.randrange(n)]
         for _ in range(k - 1):
             cyc.append(rnd.choice([j for j in range(n) if j != cyc[-1]]))
         cyc.append(cyc[0])
-        fwd = math.prod(env.prob(t, h) for t, h in zip(cyc, cyc[1:]))
+        fwd = math.prod(fwd_rows[t].get(h, 0.0) for t, h in zip(cyc, cyc[1:]))
         rcyc = cyc[::-1]
-        bwd = math.prod(rev.prob(t, h) for t, h in zip(rcyc, rcyc[1:]))
+        bwd = math.prod(rev_rows[t].get(h, 0.0) for t, h in zip(rcyc, rcyc[1:]))
         assert abs(fwd - bwd) <= 1e-10
-    back = _reversed(rev)
+    gb, back = _reversed(gr, rev)
     for t, h, _ in g.edges():
-        assert back.prob(t, h) == pytest.approx(env.prob(t, h), abs=1e-10)
+        assert back[gb.pos[t, h]] == pytest.approx(probs[g.pos[t, h]], abs=1e-10)
 
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_solver.json").read_text())
@@ -534,10 +535,11 @@ def test_solver_and_suite_outputs_golden():
             value, truncation = solver.escape_rows(p, g, sample_rows(g, RngStream(int(seed)), 1))
             assert [repr(float(truncation[0])), repr(float(value[0]))] == pinned, (text, seed)
     p, _ = parse_alphas("-1:1,1:2")
-    env = _one(build_drift_closure(p, 6), RngStream(7))
-    rev_dump = _reversed(env).dump().encode()
-    pi = stationary_rows(env.graph, env.probs[None])[0].tolist()
-    pi_items = repr(sorted(zip(env.vertices, pi))).encode()
+    g = build_drift_closure(p, 6)
+    probs = _one(g, RngStream(7))
+    rev_dump = _dump(*_reversed(g, probs)).encode()
+    pi = stationary_rows(g, probs[None])[0].tolist()
+    pi_items = repr(sorted(zip(g.vertices, pi))).encode()
     assert hashlib.sha256(rev_dump).hexdigest() == GOLDEN["closure"]["time_reverse_dump_sha256"]
     assert hashlib.sha256(pi_items).hexdigest() == GOLDEN["closure"]["invariant_items_sha256"]
     sizes = {"reversal": {"replicas": 50}, "beta-law": {"replicas": 10, "window": 128},
@@ -559,8 +561,8 @@ def test_wide_support_reversal_golden():
         _, ev = verify.run_suite("reversal", p, seed=5, replicas=50)
         assert cli.dumps(ev) == evidence, text
     p, _ = parse_alphas(GOLDEN["closure_wide"]["alphas"])
-    env = _one(build_drift_closure(p, 6), RngStream(7))
-    digest = hashlib.sha256(_reversed(env).dump().encode()).hexdigest()
+    g = build_drift_closure(p, 6)
+    digest = hashlib.sha256(_dump(*_reversed(g, _one(g, RngStream(7)))).encode()).hexdigest()
     assert digest == GOLDEN["closure_wide"]["time_reverse_dump_sha256"]
 
 
@@ -581,8 +583,8 @@ def test_wide_support_beta_law_golden():
 
 def test_beta_law_brackets_the_environments_of_sample_environments():
     # the suite draws and solves in batches; its evidence must be that of
-    # one solve per environment of sample_environments, for one replica (a
-    # one-stream draw) and for several (a vertex-by-vertex draw)
+    # one solve per row of sample_rows, for one replica (a one-stream draw)
+    # and for several (a vertex-by-vertex draw)
     from rwde import stats
     from rwde.model import derive_params
 
@@ -591,8 +593,8 @@ def test_beta_law_brackets_the_environments_of_sample_environments():
         dp = derive_params(p)
         for replicas in (1, 3):
             g = build_halfline(p, 64)
-            ests = [solver.escape_rows(p, g, env.probs[None])
-                    for env in sample_environments(g, RngStream(4), replicas)]
+            ests = [solver.escape_rows(p, g, row[None])
+                    for row in sample_rows(g, RngStream(4), replicas)]
             values, truncations = (np.concatenate(a) for a in zip(*ests))
             report = stats.ks_test(values, stats.beta_cdf(dp.kappa1, dp.d_minus))
             _, ev = verify.beta_law(p, replicas=replicas, window=64, seed=4)
@@ -765,8 +767,9 @@ def _bfs(succ, sources):
 
 @st.composite
 def _small_environments(draw):
-    """Environment on 2-7 vertices named by non-contiguous ints or strings,
-    every vertex with at least one out-edge, probabilities at least 1/63."""
+    """A graph on 2-7 vertices named by non-contiguous ints or strings, every
+    vertex with at least one out-edge, and one environment on it with
+    probabilities at least 1/63."""
     n = draw(st.integers(2, 7))
     if draw(st.booleans()):
         names = sorted(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True)))
@@ -781,29 +784,31 @@ def _small_environments(draw):
         probs.update(zip([(t, h) for h in heads], (weights / weights.sum()).tolist()))
         edges += [(t, h, 1.0) for h in heads]
     g = WeightedDigraph(edges, vertices=names)
-    return Environment(g, [probs[e] for e in g.pos])
+    return g, np.array([probs[e] for e in g.pos])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_small_environments(), st.data())
-def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
-    verts = list(env.vertices)
+def test_hitting_and_invariant_measure_against_dense_oracle(case, data):
+    g, probs = case
+    rows = _rows(g, probs)
+    verts = list(g.vertices)
     target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
     rest = [v for v in verts if v not in target]
     taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
-    succ = {v: env.row(v)[0] for v in verts}
+    succ = {v: tuple(rows[v]) for v in verts}
     pred = {v: [t for t in verts if v in succ[t]] for v in verts}
     unknown = [v for v in verts if v not in target | taboo]
-    at = env.graph.index
+    at = g.index
     if not set(unknown) <= _bfs(pred, target | taboo):
         with pytest.raises(UnreachableBoundary):
-            _hit(env, target, taboo)
+            _hit(g, probs, target, taboo)
     else:
-        h = _hit(env, target, taboo)
+        h = _hit(g, probs, target, taboo)
         M = np.eye(len(unknown))
         b = np.zeros(len(unknown))
         for i, v in enumerate(unknown):
-            for y, q in zip(*env.row(v)):
+            for y, q in rows[v].items():
                 if y in target:
                     b[i] += q
                 elif y in unknown:
@@ -814,23 +819,23 @@ def test_hitting_and_invariant_measure_against_dense_oracle(env, data):
             assert abs(h[at[v]] - x[i]) <= 1e-12
 
     if all(_bfs(succ, [v]) == set(verts) for v in verts):
-        pi = stationary_rows(env.graph, env.probs[None])[0]
-        flow = {v: sum(pi[at[t]] * env.prob(t, v) for t in verts) for v in verts}
+        pi = stationary_rows(g, probs[None])[0]
+        flow = {v: sum(pi[at[t]] * rows[t].get(v, 0.0) for t in verts) for v in verts}
         assert all(abs(flow[v] - pi[at[v]]) <= 1e-12 for v in verts)
     else:
         with pytest.raises(NotStronglyConnected):
-            stationary_rows(env.graph, env.probs[None])
+            stationary_rows(g, probs[None])
 
 
-def _exact_hitting(env, target, taboo):
+def _exact_hitting(rows, target, taboo):
     """vertex -> P(hit target before taboo) as a Fraction, by state
     reduction in exact arithmetic on the rows' floats: each unknown's loop
     is dropped (its exit mass is the sum of its other entries), and
     eliminating an unknown hands its row, scaled by the jump into it over
     its exit mass, to every unknown not yet eliminated."""
-    rows = {v: {y: Fraction(q) for y, q in zip(*env.row(v)) if y != v} for v in env.vertices}
+    rows = {v: {y: Fraction(q) for y, q in row.items() if y != v} for v, row in rows.items()}
     h = {v: Fraction(1) for v in target} | {v: Fraction(0) for v in taboo}
-    unknown = [v for v in env.vertices if v not in h]
+    unknown = [v for v in rows if v not in h]
     for n, j in enumerate(unknown):
         rate = sum(rows[j].values())
         for i in unknown[n + 1:]:
@@ -844,45 +849,47 @@ def _exact_hitting(env, target, taboo):
     return h
 
 
-def _component(env, x, S):
+def _component(rows, x, S):
     """x's strongly connected component within S."""
-    succ = {v: [y for y in env.row(v)[0] if y in S] for v in S}
+    succ = {v: [y for y in rows[v] if y in S] for v in S}
     pred = {v: [t for t in S if v in succ[t]] for v in S}
     return _bfs(succ, [x]) & _bfs(pred, [x])
 
 
-def _exact_visits(env, x, S):
+def _exact_visits(rows, x, S):
     """Expected visits to x before leaving S as a Fraction: 1 over the chance
     of leaving x's strongly connected component C within S before returning
     to x, with that chance from _exact_hitting."""
-    comp = _component(env, x, set(S))
-    h = _exact_hitting(env, [v for v in env.vertices if v not in comp], [x])
-    return 1 / sum(Fraction(q) * h[y] for y, q in zip(*env.row(x)))
+    comp = _component(rows, x, set(S))
+    h = _exact_hitting(rows, [v for v in rows if v not in comp], [x])
+    return 1 / sum(Fraction(q) * h[y] for y, q in rows[x].items())
 
 
 @settings(max_examples=200, deadline=None)
 @given(_small_environments(), st.data())
-def test_hitting_and_visits_against_exact_state_reduction(env, data):
+def test_hitting_and_visits_against_exact_state_reduction(case, data):
     # every value, however small, within 1e-12 of its own size
-    verts = list(env.vertices)
+    g, probs = case
+    rows = _rows(g, probs)
+    verts = list(g.vertices)
     close = lambda got, exact: abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
     target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
     rest = [v for v in verts if v not in target]
     taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
-    pred = {v: [t for t in verts if v in env.row(t)[0]] for v in verts}
+    pred = {v: [t for t in verts if v in rows[t]] for v in verts}
     if set(verts) <= _bfs(pred, target | taboo):
-        h = _hit(env, target, taboo)
-        exact = _exact_hitting(env, target, taboo)
-        assert all(close(h[env.graph.index[v]], exact[v]) for v in verts), (h, exact)
+        h = _hit(g, probs, target, taboo)
+        exact = _exact_hitting(rows, target, taboo)
+        assert all(close(h[g.index[v]], exact[v]) for v in verts), (h, exact)
 
     x = data.draw(st.sampled_from(verts))
     S = {x} | set(data.draw(st.lists(st.sampled_from(verts), unique=True)))
-    comp = _component(env, x, S)
-    if all(set(env.row(v)[0]) <= comp for v in comp):
+    comp = _component(rows, x, S)
+    if all(set(rows[v]) <= comp for v in comp):
         with pytest.raises(NoExit):
-            visits_rows(env.graph, x, S, env.probs[None])
+            visits_rows(g, x, S, probs[None])
     else:
-        assert close(visits_rows(env.graph, x, S, env.probs[None])[0], _exact_visits(env, x, S))
+        assert close(visits_rows(g, x, S, probs[None])[0], _exact_visits(rows, x, S))
 
 
 @pytest.mark.parametrize("W", [64, 256, 1024])
@@ -929,22 +936,22 @@ def _assert_batch_matches(g, target, taboo, probs, entries):
 
 @settings(max_examples=150, deadline=None)
 @given(_small_environments(), st.data(), st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32))
-def test_batched_hitting_matches_per_environment_calls_dense(env, data, k, entries, seed):
+def test_batched_hitting_matches_per_environment_calls_dense(case, data, k, entries, seed):
     # small graphs give systems of any bandwidth; the batch is solved a few
     # rows at a time (entries) and must give the single solves' floats, or
     # raise as they do
-    g = env.graph
+    g, _ = case
     verts = list(g.vertices)
     target = frozenset(data.draw(st.lists(st.sampled_from(verts), min_size=1, unique=True)))
     rest = [v for v in verts if v not in target]
     taboo = frozenset(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else frozenset()
-    probs = np.array([e.probs for e in sample_environments(g, RngStream(seed), k)])
+    probs = sample_rows(g, RngStream(seed), k)
     _assert_batch_matches(g, target, taboo, probs, entries)
 
 
 def test_batched_hitting_raises_unreachable_boundary_as_single_solves():
     g = WeightedDigraph([(0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 0, 1.0)])
-    probs = np.array([e.probs for e in sample_environments(g, RngStream(3), 4)])
+    probs = sample_rows(g, RngStream(3), 4)
     assert _assert_batch_matches(g, frozenset([1]), frozenset(), probs, 8) == "UnreachableBoundary"
     assert _assert_batch_matches(g, frozenset([0]), frozenset(), probs, 8) is not None
 
@@ -958,8 +965,7 @@ def test_batched_hitting_and_brackets_match_per_environment_calls_banded(seed, W
 
     p = random_params(random.Random(seed))
     g = build_halfline(p, W)
-    envs = sample_environments(g, RngStream(seed), k)
-    probs = np.array([e.probs for e in envs])
+    probs = sample_rows(g, RngStream(seed), k)
     band, half = (frozenset(range(w - p.L + 1, W + 1)) for w in (W, W // 2))
     for target, taboo in ((band, frozenset([0])), (half, frozenset([0])),
                           (frozenset([0]), frozenset([W]))):

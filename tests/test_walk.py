@@ -11,7 +11,7 @@ from rwde import verify
 from rwde.environment import RngStream
 from rwde.errors import DeadEnd, NotAPath
 from rwde.graphs import WeightedDigraph
-from rwde.model import validate_params
+from rwde.model import parse_alphas, validate_params
 from rwde.walk import (
     annealed_path_probability,
     default_tail_buffer,
@@ -164,6 +164,24 @@ def test_velocity_recurrent_warns():
     with pytest.warns(UserWarning):
         est = estimate_velocity(p, steps=2000, replicas=10, seed=17)
     assert abs(est.v_hat) < 0.2
+
+
+def test_line_estimators_share_one_zero_drift_rule():
+    # kappa1 = 1e-13 lies within KAPPA1_ZERO_RTOL of 0, so the library treats
+    # the walk as recurrent: the mean hitting estimator warns as the velocity
+    # estimator does (it warned only at kappa1 <= 0); a clear drift warns
+    # from neither
+    p, dp = parse_alphas("-1:1,1:1.0000000000001")
+    assert dp.kappa1_is_zero and dp.kappa1 > 0.0
+    with pytest.warns(UserWarning, match=r"kappa1 = 0 \(recurrent\)"):
+        estimate_velocity(p, steps=100, replicas=2, seed=1)
+    with pytest.warns(UserWarning, match="intended for kappa1 > 0"):
+        estimate_mean_hitting(p, horizon=100, replicas=2, seed=1)
+    p, _ = parse_alphas("-1:1,1:2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate_velocity(p, steps=100, replicas=2, seed=1)
+        estimate_mean_hitting(p, horizon=100, replicas=2, seed=1)
 
 
 def test_regeneration_increments_uncorrelated():
