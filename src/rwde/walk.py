@@ -57,8 +57,7 @@ def simulate_line(p: DirichletParams, steps: int, rng: RngStream) -> np.ndarray:
 def simulate_derrw_batch(g: WeightedDigraph, start, horizon: int, runs: int, rng: RngStream,
                          stop_on_return_to=None) -> list:
     """Positions (a tuple per run) of `runs` directed edge reinforced walks
-    from `start`, run one after another on the single Philox stream
-    ``rng.generator()``.
+    from `start` on the single Philox stream ``rng.generator()``.
 
     Every run starts from the base weights, takes at most `horizon` steps and
     stops on reaching `stop_on_return_to` after at least one step.  Each step
@@ -67,15 +66,23 @@ def simulate_derrw_batch(g: WeightedDigraph, start, horizon: int, runs: int, rng
     times the vertex's current total (the last edge if none does); that
     edge's weight and the vertex's total then grow by 1.0.  A run continues
     the stream where the previous one stopped, so n runs are the first n runs
-    of any longer batch from the same stream.
+    of any longer batch from the same stream.  Without a stop vertex every
+    run takes `horizon` steps, so run j reads uniforms j*horizon ...
+    (j+1)*horizon - 1 and the runs are stepped together, with the same float
+    operations; with one, each run's first uniform depends on the lengths of
+    the runs before it, and the runs go one after another.
     """
+    if horizon < 0 or runs < 0:
+        raise ValueError(f"horizon and runs must be >= 0, got {horizon} and {runs}")
     _check_vertices(g, [start])
     verts = g.vertices
     ptr = g.indptr.tolist()
-    cols = g.cols.tolist()
     base = g.weights.tolist()
     base_total = [math.fsum(base[ptr[i]:ptr[i + 1]]) for i in range(len(verts))]
+    if stop_on_return_to is None:
+        return _derrw_lockstep(g, start, horizon, runs, rng, base_total)
     first = g.index[start]
+    cols = g.cols.tolist()
     stop = g.index.get(stop_on_return_to, -1)
     # uniforms come in chunks; the stream does not depend on the chunk size
     size = min(_CHUNK, runs * horizon)
@@ -105,6 +112,50 @@ def simulate_derrw_batch(g: WeightedDigraph, start, horizon: int, runs: int, rng
                 break
         out.append(tuple(path))
     return out
+
+
+def _derrw_lockstep(g: WeightedDigraph, start, horizon: int, runs: int, rng: RngStream,
+                    base_total: list) -> list:
+    """The runs of simulate_derrw_batch without a stop vertex, stepped
+    together: run j's weights and totals are the j-th rows of flat arrays,
+    and a step scans every run's out-edges left to right at once."""
+    n_e, n_v = len(g.cols), len(g.vertices)
+    lo, hi, cols = g.indptr[:-1], g.indptr[1:] - 1, g.cols
+    u = rng.generator().random((runs, horizon))
+    weights = np.tile(g.weights, runs)
+    total = np.tile(np.array(base_total), runs)
+    row_e = np.arange(runs) * n_e
+    row_v = np.arange(runs) * n_v
+    i = np.full(runs, g.index[start])
+    at = np.full((runs, horizon + 1), n_v)  # vertex positions; n_v stands for `start`
+    dead = None  # the vertex where the earliest run found at a dead end stands
+    for t in range(horizon):
+        e = row_e + lo[i]
+        last = row_e + hi[i]
+        stuck = last < e
+        if stuck.any():
+            # one after another, the runs would stop at the first stuck run
+            # unless an earlier run is stuck later: step only the earlier ones
+            j = int(stuck.argmax())
+            dead = i[j]
+            u, at, i, e, last, row_e, row_v = (a[:j] for a in (u, at, i, e, last, row_e, row_v))
+            if not j:
+                break
+        iv = row_v + i
+        r = u[:, t] * total[iv]
+        acc = weights[e]
+        more = (r >= acc) & (e < last)
+        while more.any():
+            e += more
+            acc = np.where(more, acc + weights[e], acc)
+            more &= (r >= acc) & (e < last)
+        weights[e] += 1.0
+        total[iv] += 1.0
+        i = at[:, t + 1] = cols[e - row_e]
+    if dead is not None:
+        raise DeadEnd(f"vertex {g.vertices[dead]!r} has no outgoing edges")
+    label = np.fromiter((*g.vertices, start), dtype=object, count=n_v + 1)
+    return list(map(tuple, label[at].tolist()))
 
 
 def annealed_path_probability(g: WeightedDigraph, path) -> float:

@@ -502,10 +502,14 @@ def test_time_reverse_cycle_identity_and_involution():
     for _ in range(100):
         k = rnd.randrange(2, 6)
         cyc = [rnd.randrange(n)]
-        for _ in range(k - 1):
+        for _ in range(k - 2):
             cyc.append(rnd.choice([j for j in range(n) if j != cyc[-1]]))
+        # the graph has no self-loops: the walk closes from a vertex other
+        # than its start
+        cyc.append(rnd.choice([j for j in range(n) if j not in (cyc[-1], cyc[0])]))
         cyc.append(cyc[0])
         fwd = math.prod(fwd_rows[t].get(h, 0.0) for t, h in zip(cyc, cyc[1:]))
+        assert fwd > 0.0, cyc
         rcyc = cyc[::-1]
         bwd = math.prod(rev_rows[t].get(h, 0.0) for t, h in zip(rcyc, rcyc[1:]))
         assert abs(fwd - bwd) <= 1e-10
@@ -548,6 +552,10 @@ def test_solver_and_suite_outputs_golden():
     for name, kw in sizes.items():
         _, evidence = verify.run_suite(name, p, seed=5, **kw)
         assert cli.dumps(evidence) == GOLDEN["suites"][name], name
+    # 2000 runs are one full batch of verify.RUN_BATCH runs and part of a
+    # second: recorded while each run was still stepped one after another
+    _, evidence = verify.run_suite("derrw", p, seed=5, steps=2000)
+    assert cli.dumps(evidence) == GOLDEN["derrw_two_batches"]
 
 
 def test_wide_support_reversal_golden():

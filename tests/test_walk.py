@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rwde import verify
 from rwde.environment import RngStream
 from rwde.errors import DeadEnd, NotAPath
-from rwde.graphs import WeightedDigraph
+from rwde.graphs import WeightedDigraph, build_drift_closure
 from rwde.model import parse_alphas, validate_params
 from rwde.walk import (
     annealed_path_probability,
@@ -52,6 +52,33 @@ def test_derrw_unknown_start_is_a_value_error():
         simulate_derrw_batch(verify.derrw_graph(), 7, 3, 1, RngStream(1))
     with pytest.raises(ValueError, match=r"vertices not in graph: \['a'\]"):
         simulate_derrw_batch(verify.derrw_graph(), "a", 3, 2, RngStream(1))
+
+
+def test_derrw_negative_sizes_are_value_errors():
+    g = verify.derrw_graph()
+    with pytest.raises(ValueError, match="horizon and runs must be >= 0"):
+        simulate_derrw_batch(g, 0, -3, 2, RngStream(1))
+    with pytest.raises(ValueError, match="horizon and runs must be >= 0"):
+        simulate_derrw_batch(g, 0, 3, -2, RngStream(1))
+    with pytest.raises(ValueError, match="horizon and runs must be >= 0"):
+        simulate_derrw_batch(g, 0, -1, 2, RngStream(1), stop_on_return_to=0)
+    assert simulate_derrw_batch(g, 0, 0, 2, RngStream(1)) == [(0,), (0,)]
+    assert simulate_derrw_batch(g, 0, 3, 0, RngStream(1)) == []
+
+
+def test_derrw_dead_end_names_the_first_run_stuck():
+    # 1 and 3 are dead ends; a run meets 1 after one step (u < 0.5) or 3
+    # after two.  Run 0 takes the longer way while a later run is stuck
+    # first, and one run after another it is run 0's dead end that is met
+    g = WeightedDigraph([(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
+    rng, runs = RngStream(2), 8
+    first_steps = rng.generator().random(3 * runs)[::3]
+    assert first_steps[0] >= 0.5 and (first_steps[1:] < 0.5).any()
+    with pytest.raises(DeadEnd) as ref:
+        _derrw_reference(g, 0, 3, runs, rng)
+    assert ref.value.args[0] == 3
+    with pytest.raises(DeadEnd, match=r"^vertex 3 has no outgoing edges$"):
+        simulate_derrw_batch(g, 0, 3, runs, rng)
 
 
 def _derrw_reference(g, start, horizon, runs, rng, stop=None):
@@ -107,6 +134,20 @@ def test_derrw_batch_matches_reference(case, horizon, runs, extra, seed):
     longer = simulate_derrw_batch(g, start, horizon, runs + extra, rng, stop_on_return_to=stop)
     assert longer[:runs] == batch
     assert simulate_derrw_batch(g, start, horizon, 1, rng, stop_on_return_to=stop) == batch[:1]
+
+
+def test_derrw_batches_match_reference_at_the_suites_sizes():
+    # the derrw suite's graph and depth over several 1024-uniform chunks, and
+    # longer runs on the reversal suites' drift closure
+    g = verify.derrw_graph()
+    rng = RngStream(5, (0,))
+    assert simulate_derrw_batch(g, 0, verify.DERRW_DEPTH, 1000, rng) == _derrw_reference(
+        g, 0, verify.DERRW_DEPTH, 1000, rng)
+    p, _ = parse_alphas("-1:1,1:2")
+    closure = build_drift_closure(p, verify.CLOSURE_M)
+    rng = RngStream(6)
+    assert simulate_derrw_batch(closure, 0, 50, 300, rng) == _derrw_reference(
+        closure, 0, 50, 300, rng)
 
 
 def test_derrw_return_at_horizon_is_a_hit():
